@@ -28,10 +28,6 @@ allocsim::parseBenchOptions(int Argc, const char *const *Argv,
   Cli.addFlag("out-telemetry-json", "",
               "export per-cell + merged telemetry as JSON to this path "
               "(matrix-backed benches only)");
-  Cli.addFlag("engine", "percfg",
-              "cache sweep engine: percfg (one simulator per config) or "
-              "stackdist (one stack-distance pass; sweep benches switch to "
-              "a shared-set-count family of the same capacities)");
   if (!Cli.parse(Argc, Argv))
     return std::nullopt;
   BenchOptions Options;
@@ -47,14 +43,6 @@ allocsim::parseBenchOptions(int Argc, const char *const *Argv,
     return std::nullopt;
   }
   Options.OutTelemetryJson = Cli.getString("out-telemetry-json");
-  if (std::optional<CacheEngineKind> Engine =
-          tryParseCacheEngine(Cli.getString("engine"))) {
-    Options.Engine = *Engine;
-  } else {
-    std::cerr << "error: bad --engine '" << Cli.getString("engine")
-              << "' (expected percfg or stackdist)\n";
-    return std::nullopt;
-  }
   return Options;
 }
 
@@ -83,7 +71,6 @@ ExperimentConfig allocsim::baseConfig(WorkloadId Workload,
   Config.Engine.Scale = Options.Scale;
   Config.Engine.Seed = Options.Seed;
   Config.Telemetry = Options.Telemetry;
-  Config.CacheEngine = Options.Engine;
   return Config;
 }
 

@@ -52,11 +52,6 @@ struct BenchOptions {
   /// When non-empty, matrix-backed benches also export per-cell + merged
   /// telemetry ("allocsim-telemetry-v1") to this path.
   std::string OutTelemetryJson;
-  /// Cache sweep engine for every run. Under StackDist the sweep benches
-  /// substitute stackCacheSweep()-style families (same capacities, shared
-  /// set count) for their direct-mapped sweeps, since a stack-distance
-  /// family must share its set-indexing function.
-  CacheEngineKind Engine = CacheEngineKind::PerConfig;
 };
 
 /// Registers and parses the common flags (plus any caller-registered ones

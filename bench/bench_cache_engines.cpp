@@ -1,17 +1,22 @@
-//===- bench/bench_cache_engines.cpp - Per-config vs stack-distance -------===//
+//===- bench/bench_cache_engines.cpp - Automatic engine vs CacheBank ------===//
 //
 // Part of allocsim (PLDI 1993 cache-locality-of-malloc reproduction).
 //
 // Measures cache-simulation throughput (refs/sec delivered into the sink)
-// of the per-config engine (CacheBank: one simulator per geometry) against
-// the one-pass stack-distance engine (StackSim) on the same pre-captured
-// reference stream, for three sweep shapes:
+// of the engine a run's cache layer picks automatically (CacheSweep: the
+// one-pass StackSim kernels where a family allows them) against per-config
+// CacheBank simulation (one simulator per geometry) on the same
+// pre-captured reference stream, for four sweep shapes:
 //
-//   fig678     the Figure 6-8 family: 16K..256K at 512 sets (5 members)
-//   dense      every power-of-two size 2K..256K at 64 sets (8 members) —
-//              the "much denser sweeps" the stack engine enables
-//   single16k  the paper's lone 16K config (1 member; sanity row — one
-//              pass over one cache has nothing to amortize)
+//   paperdm    the paper's sweep: direct-mapped 16K..256K (5 members, the
+//              ladder kernel)
+//   assoc512   16K..256K at 512 sets, associativity 1..16 (5 members, the
+//              stack kernel)
+//   dense      every power-of-two size 2K..256K at 64 sets (8 members,
+//              the stack kernel)
+//   single16k  the paper's lone 16K config (1 member, a one-rung ladder;
+//              one pass over one cache has nothing to amortize, so this
+//              row only shows automatic selection never loses)
 //
 // The stream is captured once (gs-small under FirstFit, the experiment hot
 // path's own reference mix) and replayed in AccessBatch-sized chunks, so
@@ -20,12 +25,11 @@
 // compared member by member, total and by source; any difference is fatal,
 // making each bench run an equivalence check at production scale.
 //
-// Emits JSON (schema allocsim-bench-engines-v1) for the cache-engines CI
+// Emits JSON (schema allocsim-bench-engines-v2) for the cache-engines CI
 // job. The committed baseline (BENCH_cache_engines.json) is compared by
-// tools/check_perf_baseline.py on the speedup ratios — stackdist over
-// percfg on the same machine and run — plus per-config "min_speedup"
-// absolute floors (the >= 5x multi-config claim). To refresh after an
-// intentional engine change:
+// tools/check_perf_baseline.py on the speedup ratios — automatic over
+// CacheBank on the same machine and run — plus per-config "min_speedup"
+// absolute floors. To refresh after an intentional engine change:
 //
 //   build/bench/bench_cache_engines --out BENCH_cache_engines.json
 //
@@ -66,14 +70,14 @@ struct EngineConfig {
   std::vector<CacheConfig> Family;
 };
 
-/// One percfg-vs-stackdist measurement.
+/// One CacheBank-vs-automatic measurement.
 struct Measurement {
   std::string Name;
   uint64_t Refs = 0;
-  double PercfgRefsPerSec = 0;
-  double StackdistRefsPerSec = 0;
+  double BankRefsPerSec = 0;
+  double AutoRefsPerSec = 0;
   double speedup() const {
-    return PercfgRefsPerSec > 0 ? StackdistRefsPerSec / PercfgRefsPerSec : 0;
+    return BankRefsPerSec > 0 ? AutoRefsPerSec / BankRefsPerSec : 0;
   }
 };
 
@@ -116,11 +120,11 @@ double replayInto(AccessSink &Sink, const std::vector<MemAccess> &Stream) {
 
 /// Asserts bit-exact agreement between the two engines' statistics for
 /// every family member, total and by source.
-void checkAgreement(const CacheBank &Bank, const StackSim &Stack,
+void checkAgreement(const CacheBank &Bank, const CacheSweep &Auto,
                     const std::string &Name) {
   for (size_t I = 0; I != Bank.size(); ++I) {
     const CacheStats &Per = Bank.cache(I).stats();
-    const CacheStats Dist = Stack.statsFor(I);
+    const CacheStats Dist = Auto.statsFor(I);
     bool Equal = Per.Accesses == Dist.Accesses && Per.Misses == Dist.Misses;
     for (unsigned S = 0; S != NumAccessSources; ++S)
       Equal = Equal && Per.AccessesBySource[S] == Dist.AccessesBySource[S] &&
@@ -128,9 +132,9 @@ void checkAgreement(const CacheBank &Bank, const StackSim &Stack,
     if (!Equal)
       reportFatalError("engine disagreement on '" + Name + "' member " +
                        std::to_string(I) + " (" +
-                       Bank.cache(I).config().describe() + "): percfg " +
+                       Bank.cache(I).config().describe() + "): CacheBank " +
                        std::to_string(Per.Misses) + "/" +
-                       std::to_string(Per.Accesses) + " vs stackdist " +
+                       std::to_string(Per.Accesses) + " vs automatic " +
                        std::to_string(Dist.Misses) + "/" +
                        std::to_string(Dist.Accesses));
   }
@@ -143,23 +147,31 @@ Measurement measure(const EngineConfig &Config,
   Measurement Result;
   Result.Name = Config.Name;
   Result.Refs = Stream.size();
-  double PercfgBest = 0, StackdistBest = 0;
+  double BankBest = 0, AutoBest = 0;
   for (unsigned Rep = 0; Rep != Reps; ++Rep) {
     CacheBank Bank;
     for (const CacheConfig &CacheConf : Config.Family)
       Bank.addCache(CacheConf);
-    StackSim Stack(Config.Family);
-    double PercfgSec = replayInto(Bank, Stream);
-    double StackdistSec = replayInto(Stack, Stream);
+    CacheSweep Auto(Config.Family);
+    double BankSec = replayInto(Bank, Stream);
+    double AutoSec = replayInto(Auto, Stream);
     if (Rep == 0)
-      checkAgreement(Bank, Stack, Config.Name);
-    PercfgBest = std::max(PercfgBest, double(Stream.size()) / PercfgSec);
-    StackdistBest =
-        std::max(StackdistBest, double(Stream.size()) / StackdistSec);
+      checkAgreement(Bank, Auto, Config.Name);
+    BankBest = std::max(BankBest, double(Stream.size()) / BankSec);
+    AutoBest = std::max(AutoBest, double(Stream.size()) / AutoSec);
   }
-  Result.PercfgRefsPerSec = PercfgBest;
-  Result.StackdistRefsPerSec = StackdistBest;
+  Result.BankRefsPerSec = BankBest;
+  Result.AutoRefsPerSec = AutoBest;
   return Result;
+}
+
+/// 512 sets, 32B blocks, associativity 1..16: the paper's 16K..256K
+/// capacities as one LRU family.
+std::vector<CacheConfig> assocFamily() {
+  std::vector<CacheConfig> Family;
+  for (uint32_t Assoc = 1; Assoc <= 16; Assoc *= 2)
+    Family.push_back(CacheConfig{16 * 1024 * Assoc, 32, Assoc});
+  return Family;
 }
 
 /// The dense family: 64 sets, 32B blocks, associativity 1..128 — every
@@ -174,7 +186,7 @@ std::vector<CacheConfig> denseFamily() {
 void writeJson(std::ostream &OS, const std::vector<Measurement> &Rows,
                bool Quick, const BenchOptions &Options) {
   OS << "{\n";
-  OS << "  \"schema\": \"allocsim-bench-engines-v1\",\n";
+  OS << "  \"schema\": \"allocsim-bench-engines-v2\",\n";
   OS << "  \"quick\": " << (Quick ? "true" : "false") << ",\n";
   OS << "  \"scale\": " << Options.Scale << ",\n";
   OS << "  \"seed\": " << Options.Seed << ",\n";
@@ -185,11 +197,11 @@ void writeJson(std::ostream &OS, const std::vector<Measurement> &Rows,
     char Buffer[256];
     std::snprintf(Buffer, sizeof(Buffer),
                   "    {\"name\": \"%s\", \"refs\": %llu, "
-                  "\"percfg_refs_per_sec\": %.0f, "
-                  "\"stackdist_refs_per_sec\": %.0f, \"speedup\": %.3f}",
+                  "\"bank_refs_per_sec\": %.0f, "
+                  "\"auto_refs_per_sec\": %.0f, \"speedup\": %.3f}",
                   Row.Name.c_str(),
                   static_cast<unsigned long long>(Row.Refs),
-                  Row.PercfgRefsPerSec, Row.StackdistRefsPerSec,
+                  Row.BankRefsPerSec, Row.AutoRefsPerSec,
                   Row.speedup());
     OS << Buffer << (I + 1 == Rows.size() ? "\n" : ",\n");
   }
@@ -213,13 +225,15 @@ int main(int Argc, char **Argv) {
     Options->Scale = 16; // smaller run, same machinery
   unsigned Reps = Quick ? 2 : 4;
 
-  printBanner("cache-engine throughput: per-config vs one-pass "
-              "stack-distance on a captured stream (gs-small, FirstFit)",
+  printBanner("cache-engine throughput: per-config CacheBank vs the "
+              "automatically chosen engine on a captured stream (gs-small, "
+              "FirstFit)",
               *Options);
 
   const std::vector<MemAccess> Stream = captureStream(*Options);
   const EngineConfig Configs[] = {
-      {"fig678", stackCacheSweep()},
+      {"paperdm", paperCacheSweep()},
+      {"assoc512", assocFamily()},
       {"dense", denseFamily()},
       {"single16k", {CacheConfig{16 * 1024, 32, 1}}},
   };
@@ -228,14 +242,14 @@ int main(int Argc, char **Argv) {
   for (const EngineConfig &Config : Configs)
     Rows.push_back(measure(Config, Stream, Reps));
 
-  Table Out({"config", "refs(M)", "percfg Mref/s", "stackdist Mref/s",
+  Table Out({"config", "refs(M)", "CacheBank Mref/s", "automatic Mref/s",
              "speedup"});
   for (const Measurement &Row : Rows) {
     Out.beginRow();
     Out.cell(Row.Name);
     Out.num(double(Row.Refs) / 1e6, 1);
-    Out.num(Row.PercfgRefsPerSec / 1e6, 1);
-    Out.num(Row.StackdistRefsPerSec / 1e6, 1);
+    Out.num(Row.BankRefsPerSec / 1e6, 1);
+    Out.num(Row.AutoRefsPerSec / 1e6, 1);
     Out.num(Row.speedup(), 2);
   }
   renderTable(Out, *Options);

@@ -27,7 +27,6 @@
 
 #include "BenchCommon.h"
 
-#include "cache/StackSim.h"
 #include "support/Error.h"
 
 #include <fstream>
@@ -85,11 +84,8 @@ int main(int Argc, char **Argv) {
   const std::vector<AllocatorKind> Allocators = modernSweepAllocators();
 
   // Part one: Figure 6/7-style miss-rate columns, GS small and medium
-  // inputs, 16K..256K — direct-mapped per config, or the shared-set-count
-  // family when the stack-distance engine runs the sweep in one pass.
-  const bool StackEngine = Options->Engine == CacheEngineKind::StackDist;
-  const std::vector<CacheConfig> Sweep =
-      StackEngine ? stackCacheSweep() : paperCacheSweep();
+  // inputs, direct-mapped 16K..256K.
+  const std::vector<CacheConfig> Sweep = paperCacheSweep();
   ResultStore MissStore = runModernMatrix(
       {WorkloadId::GsSmall, WorkloadId::GsMedium}, Sweep, *Options,
       Options->OutJson.empty() ? "" : Options->OutJson + ".missrate.json");
@@ -115,14 +111,9 @@ int main(int Argc, char **Argv) {
 
   // Part two: Table 4/5-style estimated seconds at 16K and 64K, plus the
   // allocation-policy costs that explain them.
-  // Under the stack engine the 16K/64K pair becomes a 512-set family (64K
-  // at 4-way) so it, too, is one pass.
   ResultStore TimeStore = runModernMatrix(
       {WorkloadId::Espresso, WorkloadId::Make},
-      StackEngine ? std::vector<CacheConfig>{CacheConfig{16 * 1024, 32, 1},
-                                             CacheConfig{64 * 1024, 32, 4}}
-                  : std::vector<CacheConfig>{CacheConfig{16 * 1024, 32, 1},
-                                             CacheConfig{64 * 1024, 32, 1}},
+      {CacheConfig{16 * 1024, 32, 1}, CacheConfig{64 * 1024, 32, 1}},
       *Options,
       Options->OutJson.empty() ? "" : Options->OutJson + ".exectime.json");
   const WorkloadId TimeWorkloads[] = {WorkloadId::Espresso, WorkloadId::Make};

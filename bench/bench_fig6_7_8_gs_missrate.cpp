@@ -17,8 +17,6 @@
 
 #include "BenchCommon.h"
 
-#include "cache/StackSim.h"
-
 using namespace allocsim;
 
 int main(int Argc, char **Argv) {
@@ -26,13 +24,8 @@ int main(int Argc, char **Argv) {
   std::optional<BenchOptions> Options = parseBenchOptions(Argc, Argv, Cli);
   if (!Options)
     return 1;
-  const bool StackEngine = Options->Engine == CacheEngineKind::StackDist;
-  printBanner(StackEngine
-                  ? "Figures 6/7/8: GhostScript data-cache miss rate vs "
-                    "cache size (stack-distance family, 512 sets, 32B "
-                    "blocks, one pass)"
-                  : "Figures 6/7/8: GhostScript data-cache miss rate vs "
-                    "cache size (direct-mapped, 32B blocks)",
+  printBanner("Figures 6/7/8: GhostScript data-cache miss rate vs cache size "
+              "(direct-mapped, 32B blocks)",
               *Options);
 
   struct Input {
@@ -43,11 +36,7 @@ int main(int Argc, char **Argv) {
                           {WorkloadId::GsMedium, "Figure 7 (GS-Medium)"},
                           {WorkloadId::Gs, "Figure 8 (GS-Large)"}};
 
-  // The stack engine needs the sweep to share its set-indexing function,
-  // so it swaps the paper's all-direct-mapped sweep for the same capacities
-  // at a fixed 512 sets (16K member identical to the paper's).
-  const std::vector<CacheConfig> Caches =
-      StackEngine ? stackCacheSweep() : paperCacheSweep();
+  const std::vector<CacheConfig> Caches = paperCacheSweep();
   ResultStore Store = runBenchMatrix(
       {Inputs[0].Workload, Inputs[1].Workload, Inputs[2].Workload}, Caches,
       *Options);

@@ -106,17 +106,11 @@ void allocsim::lintMatrixSpec(const std::string &Text, DiagEngine &Diags) {
                     {1, static_cast<uint32_t>(ValueOffset + 1)},
                     "bad delivery mode '" + Axis.Value +
                         "' (expected batched or scalar)");
-    } else if (Axis.Key == "engine") {
-      if (!tryParseCacheEngine(Axis.Value))
-        Diags.error("spec-bad-value",
-                    {1, static_cast<uint32_t>(ValueOffset + 1)},
-                    "bad cache engine '" + Axis.Value +
-                        "' (expected percfg or stackdist)");
     } else {
       Diags.error("spec-unknown-axis", AxisLoc,
                   "unknown axis '" + Axis.Key +
                       "' (expected workloads/allocators/caches/paging/"
-                      "penalty/telemetry/delivery/engine)");
+                      "penalty/telemetry/delivery)");
     }
   }
 

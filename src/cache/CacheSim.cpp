@@ -40,25 +40,6 @@ std::string CacheConfig::describe() const {
   return Result;
 }
 
-const char *allocsim::cacheEngineName(CacheEngineKind Engine) {
-  switch (Engine) {
-  case CacheEngineKind::PerConfig:
-    return "percfg";
-  case CacheEngineKind::StackDist:
-    return "stackdist";
-  }
-  return "?";
-}
-
-std::optional<CacheEngineKind>
-allocsim::tryParseCacheEngine(std::string_view Name) {
-  if (Name == "percfg")
-    return CacheEngineKind::PerConfig;
-  if (Name == "stackdist")
-    return CacheEngineKind::StackDist;
-  return std::nullopt;
-}
-
 CacheSim::CacheSim(const CacheConfig &SimConfig) : Config(SimConfig) {
   // Validate before deriving the block shift: log2Exact on a zero or
   // non-power-of-two block size is undefined behavior, and degenerate
@@ -69,12 +50,10 @@ CacheSim::CacheSim(const CacheConfig &SimConfig) : Config(SimConfig) {
 }
 
 void CacheSim::access(const MemAccess &Acc) {
-  uint64_t First = Acc.Address >> BlockShift;
-  uint64_t Last = (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1)
-                  >> BlockShift;
   // An access straddling a block boundary counts once per block touched,
   // like a trace with one entry per word.
-  for (uint64_t Frame = First; Frame <= Last; ++Frame) {
+  const FrameRange Frames = frameRange(Acc, BlockShift);
+  for (uint64_t Frame = Frames.First; Frame <= Frames.Last; ++Frame) {
     ++Stats.Accesses;
     ++Stats.AccessesBySource[static_cast<unsigned>(Acc.Source)];
     if (!probe(Frame)) {
@@ -124,10 +103,8 @@ void DirectMappedCache::accessBatch(const MemAccess *Batch, size_t Count) {
   for (size_t I = 0; I != Count; ++I) {
     const MemAccess &Acc = Batch[I];
     const unsigned Source = static_cast<unsigned>(Acc.Source);
-    const uint64_t First = Acc.Address >> Shift;
-    const uint64_t Last =
-        (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1) >> Shift;
-    for (uint64_t Frame = First; Frame <= Last; ++Frame) {
+    const FrameRange Frames = frameRange(Acc, Shift);
+    for (uint64_t Frame = Frames.First; Frame <= Frames.Last; ++Frame) {
       ++Accesses;
       ++AccBySource[Source];
       const uint64_t TagPlusOne = Frame + 1;

@@ -27,9 +27,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 namespace allocsim {
@@ -63,24 +61,6 @@ struct CacheConfig {
 
   bool operator==(const CacheConfig &Other) const = default;
 };
-
-/// How an experiment simulates its cache sweep.
-enum class CacheEngineKind : uint8_t {
-  /// One CacheSim per configuration (CacheBank): every reference probes
-  /// every cache. Supports arbitrary mixed geometries.
-  PerConfig,
-  /// One-pass stack-distance engine (StackSim, see cache/StackSim.h): one
-  /// capped LRU stack per set serves the whole family in a single pass.
-  /// Requires the configurations to share block size and set count (vary
-  /// only associativity); bit-exact with PerConfig where both apply.
-  StackDist,
-};
-
-/// "percfg" / "stackdist".
-const char *cacheEngineName(CacheEngineKind Engine);
-
-/// Parses a cacheEngineName spelling; std::nullopt on anything else.
-std::optional<CacheEngineKind> tryParseCacheEngine(std::string_view Name);
 
 /// Hit/miss counters, split by access source.
 struct CacheStats {

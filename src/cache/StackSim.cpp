@@ -1,80 +1,92 @@
-//===- cache/StackSim.cpp - One-pass stack-distance cache engine ----------===//
+//===- cache/StackSim.cpp - One-pass inclusion cache engine ---------------===//
 
 #include "cache/StackSim.h"
 
 #include "support/Error.h"
 
 #include <algorithm>
-#include <cassert>
+#include <numeric>
 
 using namespace allocsim;
 
-namespace {
-
-uint32_t log2Exact(uint32_t Value) {
-  assert(Value != 0 && (Value & (Value - 1)) == 0 &&
-         "log2Exact of non-power-of-two");
-  return static_cast<uint32_t>(__builtin_ctz(Value));
-}
-
-} // namespace
-
-std::string
-allocsim::describeStackFamilyProblem(const std::vector<CacheConfig> &Family) {
-  for (const CacheConfig &Config : Family)
-    if (!Config.valid())
-      return "invalid cache configuration: " + Config.describe();
+OnePassKernel
+allocsim::onePassKernelFor(const std::vector<CacheConfig> &Family) {
   if (Family.empty())
-    return "";
+    return OnePassKernel::None;
   const CacheConfig &First = Family.front();
-  for (size_t I = 1; I != Family.size(); ++I) {
+  bool DirectMapped = true, DistinctSets = true;
+  bool SharedSets = true, Distinct = true;
+  for (size_t I = 0; I != Family.size(); ++I) {
     const CacheConfig &Config = Family[I];
-    if (Config.BlockBytes != First.BlockBytes)
-      return "stack-distance family must share one block size: " +
-             First.describe() + " vs " + Config.describe();
-    if (Config.numSets() != First.numSets())
-      return "stack-distance family must share one set count (vary only "
-             "associativity): " +
-             First.describe() + " has " + std::to_string(First.numSets()) +
-             " sets, " + Config.describe() + " has " +
-             std::to_string(Config.numSets());
-    for (size_t J = 0; J != I; ++J)
-      if (Family[J] == Config)
-        return "duplicate cache configuration: " + Config.describe();
+    if (!Config.valid() || Config.BlockBytes != First.BlockBytes)
+      return OnePassKernel::None;
+    DirectMapped = DirectMapped && Config.Assoc == 1;
+    SharedSets = SharedSets && Config.numSets() == First.numSets();
+    for (size_t J = 0; J != I; ++J) {
+      DistinctSets = DistinctSets && Family[J].numSets() != Config.numSets();
+      Distinct = Distinct && !(Family[J] == Config);
+    }
   }
-  return "";
+  if (DirectMapped && DistinctSets)
+    return OnePassKernel::Ladder;
+  if (SharedSets && Distinct && Family.size() >= 2)
+    return OnePassKernel::Stack;
+  return OnePassKernel::None;
 }
 
 StackSim::StackSim(const std::vector<CacheConfig> &SimFamily)
-    : Family(SimFamily) {
-  if (Family.empty())
-    reportFatalError("stack-distance engine needs at least one cache "
-                     "configuration");
-  std::string Problem = describeStackFamilyProblem(Family);
-  if (!Problem.empty())
-    reportFatalError("stack-distance engine: " + Problem);
-
-  NumSets = Family.front().numSets();
-  SetMask = NumSets - 1;
-  BlockShift = log2Exact(Family.front().BlockBytes);
-  MemberAssoc.reserve(Family.size());
-  for (const CacheConfig &Config : Family) {
-    MemberAssoc.push_back(Config.Assoc);
-    MaxAssoc = std::max(MaxAssoc, Config.Assoc);
+    : Family(SimFamily), Kernel(onePassKernelFor(SimFamily)) {
+  if (Kernel == OnePassKernel::None) {
+    std::string Members;
+    for (const CacheConfig &Config : Family)
+      Members += (Members.empty() ? "" : "; ") + Config.describe();
+    reportFatalError("no one-pass kernel for cache family {" + Members +
+                     "}: need direct-mapped members with distinct set "
+                     "counts, or two or more LRU members sharing one set "
+                     "count, all valid with one block size");
   }
-  Stacks.assign(static_cast<size_t>(NumSets) * MaxAssoc, 0);
-  for (auto &Dist : DistBySource)
-    Dist.assign(MaxAssoc, 0);
+
+  BlockShift = static_cast<uint32_t>(__builtin_ctz(Family.front().BlockBytes));
+  Threshold.resize(Family.size());
+  if (Kernel == OnePassKernel::Ladder) {
+    std::vector<uint32_t> Order(Family.size());
+    std::iota(Order.begin(), Order.end(), 0u);
+    std::sort(Order.begin(), Order.end(), [&](uint32_t A, uint32_t B) {
+      return Family[A].numSets() < Family[B].numSets();
+    });
+    size_t TotalSets = 0;
+    for (const CacheConfig &Config : Family)
+      TotalSets += Config.numSets();
+    Tags.assign(TotalSets, 0);
+    uint32_t *Next = Tags.data();
+    for (uint32_t Member : Order) {
+      const uint32_t Sets = Family[Member].numSets();
+      Rungs.push_back({Next, Sets - 1, Member});
+      // The member at rung r misses every frame first hitting above r.
+      Threshold[Member] = static_cast<uint32_t>(Rungs.size());
+      Next += Sets;
+    }
+    Levels = static_cast<uint32_t>(Rungs.size());
+  } else {
+    SetMask = Family.front().numSets() - 1;
+    for (size_t I = 0; I != Family.size(); ++I) {
+      Threshold[I] = Family[I].Assoc;
+      Levels = std::max(Levels, Family[I].Assoc);
+    }
+    // Stacks are capped at the largest associativity, which is exact: an
+    // entry deeper than that misses in every member, like a cold frame.
+    Tags.assign(static_cast<size_t>(SetMask + 1) * Levels, 0);
+  }
+  Hist.assign(static_cast<size_t>(Levels) * NumAccessSources, 0);
   SetMisses.resize(Family.size());
 }
 
 CacheStats StackSim::statsFor(size_t Index) const {
-  const uint32_t Assoc = Family[Index].Assoc;
   CacheStats Stats;
   for (unsigned S = 0; S != NumAccessSources; ++S) {
-    uint64_t Misses = InfBySource[S];
-    for (uint32_t D = Assoc; D < MaxAssoc; ++D)
-      Misses += DistBySource[S][D];
+    uint64_t Misses = 0;
+    for (uint32_t Level = Threshold[Index]; Level <= Levels; ++Level)
+      Misses += Hist[(Level - 1) * NumAccessSources + S];
     Stats.AccessesBySource[S] = FramesBySource[S];
     Stats.MissesBySource[S] = Misses;
     Stats.Accesses += FramesBySource[S];
@@ -83,87 +95,96 @@ CacheStats StackSim::statsFor(size_t Index) const {
   return Stats;
 }
 
-uint32_t StackSim::stackDepthOf(uint64_t Frame) {
-  const uint32_t Set = static_cast<uint32_t>(Frame) & SetMask;
-  const uint64_t TagPlusOne = Frame + 1;
-  uint64_t *Stack = &Stacks[static_cast<size_t>(Set) * MaxAssoc];
-  // MRU fast path: most frames re-reference the most recent block of
-  // their set, and a depth-0 hit moves nothing.
-  uint64_t Prev = Stack[0];
-  if (Prev == TagPlusOne)
-    return 0;
-  // Search and reposition in one pass: slide each entry down while
-  // scanning for the tag. A hit at depth D has shifted exactly [0..D); a
-  // cold/overflow frame has shifted the whole stack, dropping the LRU tag
-  // (exact — an entry at depth >= MaxAssoc misses in every member, which
-  // is indistinguishable from never having been cached).
-  Stack[0] = TagPlusOne;
-  for (uint32_t D = 1; D != MaxAssoc; ++D) {
-    const uint64_t Cur = Stack[D];
-    Stack[D] = Prev;
-    if (Cur == TagPlusOne)
-      return D;
-    Prev = Cur;
-  }
-  return MaxAssoc;
-}
-
-void StackSim::access(const MemAccess &Acc) {
-  const unsigned Source = static_cast<unsigned>(Acc.Source);
-  uint64_t First = Acc.Address >> BlockShift;
-  uint64_t Last = (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1)
-                  >> BlockShift;
-  // Same frame split as CacheSim::access: an access straddling a block
-  // boundary counts once per block touched.
-  for (uint64_t Frame = First; Frame <= Last; ++Frame) {
-    ++FramesBySource[Source];
-    const uint32_t Depth = stackDepthOf(Frame);
-    if (Depth == MaxAssoc)
-      ++InfBySource[Source];
-    else
-      ++DistBySource[Source][Depth];
-    if (ProfileEnabled) {
-      const uint32_t Set = static_cast<uint32_t>(Frame) & SetMask;
-      for (size_t M = 0; M != MemberAssoc.size(); ++M)
-        if (MemberAssoc[M] <= Depth)
-          ++SetMisses[M][Set];
-    }
-  }
-}
+void StackSim::access(const MemAccess &Acc) { accessBatch(&Acc, 1); }
 
 void StackSim::accessBatch(const MemAccess *Batch, size_t Count) {
-  // Hoist everything loop-invariant, as DirectMappedCache::accessBatch
-  // does: stack storage, mask, shift and depth cap live in registers for
-  // the whole batch; the small per-source totals fold back once.
-  uint64_t *StackData = Stacks.data();
-  const uint32_t Mask = SetMask;
+  if (Kernel == OnePassKernel::Ladder)
+    ladderBatch(Batch, Count);
+  else
+    stackBatch(Batch, Count);
+}
+
+void StackSim::ladderBatch(const MemAccess *Batch, size_t Count) {
+  const Rung *RungData = Rungs.data();
+  const uint32_t NumRungs = Levels;
   const uint32_t Shift = BlockShift;
-  const uint32_t Depths = MaxAssoc;
+  const bool Profile = ProfileEnabled;
+  uint64_t *HistData = Hist.data();
   uint64_t Frames[NumAccessSources] = {};
-  uint64_t Cold[NumAccessSources] = {};
+  // Rung 0 answers most frames, so its tags and mask stay in registers.
+  uint32_t *const SmallTags = RungData[0].Tags;
+  const uint32_t SmallMask = RungData[0].Mask;
+  // Smallest rung upward: a miss installs the frame, exactly as that rung's
+  // DirectMappedCache would; the first hit ends the walk, since every
+  // larger rung holds the frame too and a hit changes nothing.
+  auto Probe = [&](uint64_t Frame, unsigned Source) {
+    const uint32_t Block = static_cast<uint32_t>(Frame);
+    const uint32_t TagPlusOne = Block + 1;
+    uint32_t &SmallSlot = SmallTags[Block & SmallMask];
+    if (SmallSlot == TagPlusOne) [[likely]]
+      return;
+    SmallSlot = TagPlusOne;
+    if (Profile)
+      ++SetMisses[RungData[0].Member][Block & SmallMask];
+    uint32_t Level = 1;
+    for (; Level != NumRungs; ++Level) {
+      const Rung &R = RungData[Level];
+      const uint32_t Set = Block & R.Mask;
+      if (R.Tags[Set] == TagPlusOne)
+        break;
+      R.Tags[Set] = TagPlusOne;
+      if (Profile)
+        ++SetMisses[R.Member][Set];
+    }
+    ++HistData[(Level - 1) * NumAccessSources + Source];
+  };
   for (size_t I = 0; I != Count; ++I) {
     const MemAccess &Acc = Batch[I];
     const unsigned Source = static_cast<unsigned>(Acc.Source);
-    const uint64_t First = Acc.Address >> Shift;
-    const uint64_t Last =
-        (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1) >> Shift;
-    for (uint64_t Frame = First; Frame <= Last; ++Frame) {
-      ++Frames[Source];
-      const uint32_t Set = static_cast<uint32_t>(Frame) & Mask;
-      const uint64_t TagPlusOne = Frame + 1;
-      uint64_t *Stack = StackData + static_cast<size_t>(Set) * Depths;
-      // MRU fast path: a depth-0 hit moves nothing and (Assoc >= 1 in
-      // every valid config) misses in no member.
-      uint64_t Prev = Stack[0];
-      if (Prev == TagPlusOne) {
-        ++DistBySource[Source][0];
+    const FrameRange Range = frameRange(Acc, Shift);
+    Frames[Source] += Range.Last - Range.First + 1;
+    // Most references touch one frame; giving them their own copy of the
+    // probe keeps the frame loop off the common path.
+    if (Range.First == Range.Last) [[likely]] {
+      Probe(Range.First, Source);
+      continue;
+    }
+    for (uint64_t Frame = Range.First; Frame <= Range.Last; ++Frame)
+      Probe(Frame, Source);
+  }
+  for (unsigned S = 0; S != NumAccessSources; ++S)
+    FramesBySource[S] += Frames[S];
+}
+
+void StackSim::stackBatch(const MemAccess *Batch, size_t Count) {
+  uint32_t *TagData = Tags.data();
+  const uint32_t Mask = SetMask;
+  const uint32_t Depths = Levels;
+  const uint32_t Shift = BlockShift;
+  const bool Profile = ProfileEnabled;
+  uint64_t *HistData = Hist.data();
+  uint64_t Frames[NumAccessSources] = {};
+  for (size_t I = 0; I != Count; ++I) {
+    const MemAccess &Acc = Batch[I];
+    const unsigned Source = static_cast<unsigned>(Acc.Source);
+    const FrameRange Range = frameRange(Acc, Shift);
+    Frames[Source] += Range.Last - Range.First + 1;
+    for (uint64_t Frame = Range.First; Frame <= Range.Last; ++Frame) {
+      const uint32_t Block = static_cast<uint32_t>(Frame);
+      const uint32_t Set = Block & Mask;
+      const uint32_t TagPlusOne = Block + 1;
+      uint32_t *Stack = TagData + static_cast<size_t>(Set) * Depths;
+      // MRU fast path: a depth-0 hit moves nothing and misses nowhere.
+      uint32_t Prev = Stack[0];
+      if (Prev == TagPlusOne)
         continue;
-      }
-      // Search and reposition in one pass, as stackDepthOf does.
+      // Search and reposition in one pass, sliding each entry down while
+      // scanning: a hit at depth D has shifted [0..D), a miss the whole
+      // stack.
       Stack[0] = TagPlusOne;
       uint32_t Depth = Depths;
       for (uint32_t D = 1; D != Depths; ++D) {
-        const uint64_t Cur = Stack[D];
+        const uint32_t Cur = Stack[D];
         Stack[D] = Prev;
         if (Cur == TagPlusOne) {
           Depth = D;
@@ -171,64 +192,67 @@ void StackSim::accessBatch(const MemAccess *Batch, size_t Count) {
         }
         Prev = Cur;
       }
-      if (Depth == Depths)
-        ++Cold[Source];
-      else
-        ++DistBySource[Source][Depth];
-      if (ProfileEnabled)
-        for (size_t M = 0; M != MemberAssoc.size(); ++M)
-          if (MemberAssoc[M] <= Depth)
+      ++HistData[(Depth - 1) * NumAccessSources + Source];
+      if (Profile)
+        for (size_t M = 0; M != Family.size(); ++M)
+          if (Threshold[M] <= Depth)
             ++SetMisses[M][Set];
     }
   }
-  for (unsigned S = 0; S != NumAccessSources; ++S) {
+  for (unsigned S = 0; S != NumAccessSources; ++S)
     FramesBySource[S] += Frames[S];
-    InfBySource[S] += Cold[S];
-  }
 }
 
 void StackSim::reset() {
-  std::fill(Stacks.begin(), Stacks.end(), 0);
+  std::fill(Tags.begin(), Tags.end(), 0);
+  std::fill(Hist.begin(), Hist.end(), 0);
   FramesBySource.fill(0);
-  InfBySource.fill(0);
-  for (auto &Dist : DistBySource)
-    std::fill(Dist.begin(), Dist.end(), 0);
   for (auto &Profile : SetMisses)
     std::fill(Profile.begin(), Profile.end(), 0);
 }
 
 void StackSim::enableSetProfile() {
   ProfileEnabled = true;
-  for (auto &Profile : SetMisses)
-    Profile.assign(NumSets, 0);
+  for (size_t I = 0; I != Family.size(); ++I)
+    SetMisses[I].assign(Family[I].numSets(), 0);
 }
 
-uint64_t StackSim::totalFrames() const {
-  uint64_t Total = 0;
-  for (uint64_t Frames : FramesBySource)
-    Total += Frames;
-  return Total;
+CacheSweep::CacheSweep(const std::vector<CacheConfig> &SweepFamily)
+    : Family(SweepFamily) {
+  if (onePassKernelFor(Family) != OnePassKernel::None)
+    OnePass = std::make_unique<StackSim>(Family);
+  else
+    for (const CacheConfig &Config : Family)
+      Bank.addCache(Config);
 }
 
-uint64_t StackSim::coldMisses() const {
-  uint64_t Total = 0;
-  for (uint64_t Cold : InfBySource)
-    Total += Cold;
-  return Total;
+CacheStats CacheSweep::statsFor(size_t Index) const {
+  return OnePass ? OnePass->statsFor(Index) : Bank.cache(Index).stats();
 }
 
-std::vector<uint64_t> StackSim::distanceTotals() const {
-  std::vector<uint64_t> Totals(MaxAssoc, 0);
-  for (const auto &Dist : DistBySource)
-    for (uint32_t D = 0; D != MaxAssoc; ++D)
-      Totals[D] += Dist[D];
-  return Totals;
+void CacheSweep::access(const MemAccess &Acc) {
+  if (OnePass)
+    OnePass->access(Acc);
+  else
+    Bank.access(Acc);
 }
 
-std::vector<CacheConfig> allocsim::stackCacheSweep() {
-  std::vector<CacheConfig> Configs;
-  uint32_t Assoc = 1;
-  for (uint32_t Kb = 16; Kb <= 256; Kb *= 2, Assoc *= 2)
-    Configs.push_back(CacheConfig{Kb * 1024, 32, Assoc});
-  return Configs;
+void CacheSweep::accessBatch(const MemAccess *Batch, size_t Count) {
+  if (OnePass)
+    OnePass->accessBatch(Batch, Count);
+  else
+    Bank.accessBatch(Batch, Count);
+}
+
+void CacheSweep::enableSetProfile() {
+  if (OnePass)
+    OnePass->enableSetProfile();
+  for (size_t I = 0; I != Bank.size(); ++I)
+    Bank.cache(I).enableSetProfile();
+}
+
+const std::vector<uint64_t> &
+CacheSweep::setMissProfile(size_t Index) const {
+  return OnePass ? OnePass->setMissProfile(Index)
+                 : Bank.cache(Index).setMissProfile();
 }

@@ -1,25 +1,42 @@
-//===- cache/StackSim.h - One-pass stack-distance cache engine --*- C++ -*-===//
+//===- cache/StackSim.h - One-pass inclusion cache engine -------*- C++ -*-===//
 //
 // Part of allocsim (PLDI 1993 cache-locality-of-malloc reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// One-pass stack-distance simulation in the Mattson et al. lineage that
-/// TYCHO (and through it the paper's simulator) descends from. LRU caches
-/// that share a set-indexing function satisfy the *inclusion property*: the
-/// contents of an A-way set are always a superset of the contents of the
-/// same set at any smaller associativity. StackSim exploits this to derive
-/// exact miss counts for an entire family of cache sizes from a single pass
-/// over the reference stream: it maintains one LRU stack per set, records
-/// the depth (stack distance) at which each block frame is found, and reads
-/// off Misses(A) = #{references with distance >= A} afterwards.
+/// One-pass multi-configuration cache simulation in the Mattson et al. 1970
+/// lineage that TYCHO (and through it the paper's simulator) descends from,
+/// extended by Hill & Smith's set-refinement argument ("Evaluating
+/// Associativity in CPU Caches", IEEE TC 1989). A family of caches whose
+/// contents nest — the contents of each member always a subset of the next
+/// — is served by one pass that records, per block frame, the first
+/// *level* of the nesting at which the frame hits. Member M misses exactly
+/// the frames whose level is at least its threshold, so every member's
+/// exact counts are read off one per-source level histogram afterwards.
 ///
-/// The family must therefore share the set-indexing function: same block
-/// size and same set count, varying only associativity (so capacities are
-/// S * B, 2*S*B, 4*S*B, ...). Within that contract the counts — total and
-/// split by AccessSource — are bit-exactly what per-config CacheBank
-/// simulation produces, which the engine-equivalence suite enforces.
+/// Two kernels fill that histogram:
+///
+///  * Ladder — direct-mapped members with one block size and pairwise
+///    distinct (power-of-two) set counts, in any order. The members sorted
+///    by set count are the rungs. Frames sharing a set of the larger cache
+///    also share a set of the smaller one, so a hit at a smaller rung
+///    implies a hit at every larger rung; and a direct-mapped hit changes
+///    no state. Probing from the smallest rung upward, writing the tag on
+///    each miss and stopping at the first hit is therefore exact. The level
+///    is the first-hit rung; the member at rung r misses levels > r. This
+///    is the paper's own 16K..256K direct-mapped sweep.
+///  * Stack — LRU members sharing block size and set count, varying only
+///    associativity. An A-way set holds the A most recently used frames of
+///    that set, so one LRU stack per set serves all; the level is the
+///    0-based stack depth and the member with associativity A misses
+///    levels >= A.
+///
+/// onePassKernelFor() picks the kernel; CacheSweep is the entry point that
+/// falls back to per-config CacheBank simulation for any other family. In
+/// every case the counts — total, by AccessSource and per set — are
+/// bit-exactly what CacheBank produces, which
+/// tests/cache_engine_equivalence_test.cpp enforces.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,52 +47,63 @@
 
 #include <array>
 #include <cstdint>
-#include <string>
+#include <memory>
 #include <vector>
 
 namespace allocsim {
 
-/// Checks whether \p Family can be simulated in one stack-distance pass:
-/// every member valid, all members sharing block size and set count, no
-/// duplicate geometries. Returns an empty string when the family is fine
-/// (an empty family is trivially fine), else a human-readable description
-/// of the first problem. MatrixRunner uses this to fail a cell gracefully
-/// before the StackSim constructor would reportFatalError on the same input.
-std::string describeStackFamilyProblem(const std::vector<CacheConfig> &Family);
+/// The one-pass kernel able to simulate a cache family exactly.
+enum class OnePassKernel : uint8_t {
+  /// No one-pass kernel applies; simulate one CacheSim per member.
+  None,
+  /// Direct-mapped members, one block size, distinct set counts (this
+  /// includes a single direct-mapped cache).
+  Ladder,
+  /// Two or more LRU members sharing block size and set count.
+  Stack,
+};
 
-/// One-pass multi-configuration LRU simulator over a cache family sharing
-/// block size and set count (see file comment). Attachable to the memory
-/// bus wherever a CacheBank would go; statsFor(I) afterwards yields exactly
-/// what CacheBank::cache(I).stats() would have been.
+/// Chooses the kernel for \p Family: Ladder when every member is valid and
+/// direct-mapped, all share one block size and no two share a set count;
+/// else Stack when there are at least two members, all valid, distinct,
+/// sharing block size and set count; else None (empty families, invalid or
+/// duplicate members, mixed block sizes, mixed shapes such as {16K
+/// direct-mapped, 64K 2-way}, and a lone set-associative cache, which has
+/// nothing to share a pass with).
+OnePassKernel onePassKernelFor(const std::vector<CacheConfig> &Family);
+
+/// One-pass multi-configuration simulator over a family onePassKernelFor
+/// accepts (see file comment). Attachable to the memory bus wherever a
+/// CacheBank would go; statsFor(I) afterwards yields exactly what
+/// CacheBank::cache(I).stats() would have been for member I in the order
+/// given.
 class StackSim final : public AccessSink {
 public:
-  /// \p Family must pass describeStackFamilyProblem and be non-empty;
-  /// violations are fatal (callers wanting a diagnosis instead call the
-  /// checker first).
+  /// \p Family must have a kernel; a family without one is fatal.
   explicit StackSim(const std::vector<CacheConfig> &Family);
+  // The ladder's rungs point into the tag storage.
+  StackSim(const StackSim &) = delete;
+  StackSim &operator=(const StackSim &) = delete;
 
-  size_t size() const { return Family.size(); }
-  const CacheConfig &config(size_t Index) const { return Family[Index]; }
+  OnePassKernel kernel() const { return Kernel; }
 
-  /// Derives the member's hit/miss counters from the distance histogram:
-  /// a reference found at 0-based stack depth D hits every member with
-  /// Assoc > D and misses the rest; cold/overflow references miss everyone.
+  /// Derives the member's hit/miss counters from the level histogram.
   CacheStats statsFor(size_t Index) const;
 
+  /// Delivers one record through the batch loop.
   void access(const MemAccess &Access) override;
 
-  /// Batch fast path with the stack storage, set mask and block shift
-  /// hoisted out of the record loop — same frame split and same stack
-  /// update as the scalar path, so the counts are bit-identical.
+  /// The kernel loop, with its tag storage, masks and block shift hoisted
+  /// out of the record loop.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
-  /// Empties every stack and zeroes all counters.
+  /// Empties every set and zeroes all counters.
   void reset();
 
   /// Enables per-member per-set miss profiles (telemetry full level),
-  /// mirroring CacheSim::enableSetProfile so both engines surface the same
-  /// cache.<I>.set_misses telemetry. Costs size() * numSets() counters and
-  /// one extra loop per frame; disabled (zero cost) by default.
+  /// mirroring CacheSim::enableSetProfile so the cache.<I>.set_misses
+  /// telemetry does not depend on the engine. Costs one counter array per
+  /// member; disabled (zero cost) by default.
   void enableSetProfile();
 
   /// Per-set miss counts of member \p Index; empty unless enableSetProfile
@@ -84,59 +112,75 @@ public:
     return SetMisses[Index];
   }
 
-  // Telemetry accessors (cache.stackdist.* probes).
-
-  /// Block frames simulated (== the Accesses count of every member).
-  uint64_t totalFrames() const;
-  /// Frames never seen before or found below every member's reach (the
-  /// "infinite distance" bucket; a lower bound on every member's misses).
-  uint64_t coldMisses() const;
-  /// Finite-distance histogram summed over sources: element D counts frames
-  /// found at 0-based stack depth D, for D in [0, maxAssoc()).
-  std::vector<uint64_t> distanceTotals() const;
-  /// Deepest stack kept per set == the family's largest associativity.
-  uint32_t maxAssoc() const { return MaxAssoc; }
-  /// Shared set count of the family.
-  uint32_t numSets() const { return NumSets; }
-
 private:
-  /// Searches the frame's per-set LRU stack and returns the 0-based depth
-  /// it was found at, or MaxAssoc for cold/overflow; repositions the frame
-  /// at MRU either way.
-  uint32_t stackDepthOf(uint64_t Frame);
+  void ladderBatch(const MemAccess *Batch, size_t Count);
+  void stackBatch(const MemAccess *Batch, size_t Count);
+
+  /// One ladder rung: a direct-mapped tag array inside Tags.
+  struct Rung {
+    uint32_t *Tags;
+    uint32_t Mask;
+    /// Family index of the member this rung simulates.
+    uint32_t Member;
+  };
 
   std::vector<CacheConfig> Family;
-  uint32_t NumSets = 1;
-  uint32_t SetMask = 0;
+  OnePassKernel Kernel = OnePassKernel::None;
   uint32_t BlockShift = 0;
-  /// Largest member associativity; stacks deeper than this are truncated,
-  /// which is exact: a frame at depth >= MaxAssoc misses in every member,
-  /// indistinguishable from a cold frame.
-  uint32_t MaxAssoc = 1;
-  /// NumSets stacks of MaxAssoc entries each, MRU first, tag-plus-one
-  /// encoded (0 = empty), flattened row-major.
-  std::vector<uint64_t> Stacks;
-  /// Frames counted per source (== AccessesBySource of every member).
+  /// Histogram levels: the rung count (Ladder) or the largest member
+  /// associativity (Stack). Level value Levels means the frame hit nowhere.
+  uint32_t Levels = 0;
+  /// Member I misses every frame whose level is >= Threshold[I].
+  std::vector<uint32_t> Threshold;
+  /// Ladder: the rungs, smallest set count first.
+  std::vector<Rung> Rungs;
+  /// Stack: the shared set mask.
+  uint32_t SetMask = 0;
+  /// Frame-plus-one encoded tags (0 = empty). Ladder: every rung's sets
+  /// back to back. Stack: one MRU-first stack of Levels entries per set.
+  /// Frames fit in 32 bits: addresses are 32-bit, an access runs at most
+  /// 255 bytes past 4 GiB, and blocks are at least 4 bytes.
+  std::vector<uint32_t> Tags;
+  /// Frames delivered per source (every member's AccessesBySource).
   std::array<uint64_t, NumAccessSources> FramesBySource{};
-  /// Finite-distance histograms: DistBySource[S][D] counts source-S frames
-  /// found at 0-based depth D.
-  std::array<std::vector<uint64_t>, NumAccessSources> DistBySource;
-  /// Cold/overflow frames per source (distance "infinity").
-  std::array<uint64_t, NumAccessSources> InfBySource{};
-  /// Per-member associativity, hoisted for the set-profile loop.
-  std::vector<uint32_t> MemberAssoc;
-  /// Per-member per-set miss counts; inner vectors empty unless the profile
-  /// is enabled.
+  /// Level histogram of the frames above level 0 (level-0 frames miss no
+  /// member): Levels rows of NumAccessSources counters, level L from
+  /// source S at (L - 1) * NumAccessSources + S.
+  std::vector<uint64_t> Hist;
+  /// Per-member per-set miss counts; inner vectors empty unless the
+  /// profile is enabled.
   std::vector<std::vector<uint64_t>> SetMisses;
   bool ProfileEnabled = false;
 };
 
-/// The stack-engine analogue of paperCacheSweep(): 16K..256K with 32-byte
-/// blocks as one legal family — 512 sets throughout, associativity 1, 2,
-/// ..., 16. The 16K member coincides with the paper's direct-mapped
-/// configuration; the larger members trade the paper's direct mapping for
-/// LRU associativity so the whole sweep comes out of one pass.
-std::vector<CacheConfig> stackCacheSweep();
+/// The cache layer of one run: simulates \p Family with StackSim when
+/// onePassKernelFor names a kernel, else with one CacheSim per member in a
+/// CacheBank (whose duplicate and geometry checks then apply). Results come
+/// back per member in family order and are identical whichever engine ran.
+class CacheSweep final : public AccessSink {
+public:
+  explicit CacheSweep(const std::vector<CacheConfig> &Family);
+
+  OnePassKernel kernel() const {
+    return OnePass ? OnePass->kernel() : OnePassKernel::None;
+  }
+  size_t size() const { return Family.size(); }
+  bool empty() const { return Family.empty(); }
+  const CacheConfig &config(size_t Index) const { return Family[Index]; }
+  CacheStats statsFor(size_t Index) const;
+
+  void access(const MemAccess &Access) override;
+  void accessBatch(const MemAccess *Batch, size_t Count) override;
+
+  /// Enables every member's per-set miss profile.
+  void enableSetProfile();
+  const std::vector<uint64_t> &setMissProfile(size_t Index) const;
+
+private:
+  std::vector<CacheConfig> Family;
+  std::unique_ptr<StackSim> OnePass;
+  CacheBank Bank;
+};
 
 } // namespace allocsim
 

@@ -222,42 +222,74 @@ size_t checkAssocInclusion(const MetamorphicOptions &Options,
   return Checked;
 }
 
-/// conform-meta-engine: switching the cache sweep engine from per-config
-/// simulation to the one-pass stack-distance engine on a stack-legal family
-/// changes no measurement — every cell fingerprint (instruction splits,
-/// reference volumes, per-cache miss counts) is bit-identical. Telemetry is
-/// off here: the stack engine adds its own probes (cache.stackdist.*), so
-/// the snapshots legitimately differ while the measurements must not.
+/// Exact-integer fingerprint of per-member cache statistics, by source.
+std::string cacheFingerprint(const std::vector<CacheConfig> &Family,
+                             const std::vector<CacheStats> &Stats) {
+  std::ostringstream OS;
+  for (size_t I = 0; I != Family.size(); ++I) {
+    OS << " c" << Family[I].SizeBytes << "/" << Family[I].Assoc << "="
+       << Stats[I].Misses << "/" << Stats[I].Accesses;
+    for (unsigned S = 0; S != NumAccessSources; ++S)
+      OS << " " << Stats[I].MissesBySource[S] << "/"
+         << Stats[I].AccessesBySource[S];
+  }
+  return OS.str();
+}
+
+/// conform-meta-engine: whichever engine the cache layer picks for a family
+/// — the one-pass ladder for the paper's direct-mapped sweep, the stack
+/// kernel for an associativity family — every cell reports exactly what a
+/// CacheBank (one CacheSim per member) counts on the same cell's reference
+/// stream: misses and accesses per member, in total and by source.
 size_t checkEngineEquivalence(const MetamorphicOptions &Options,
                               const MatrixOptions &RunOptions,
                               DiagEngine &Diags) {
-  MatrixSpec PerCfg;
-  PerCfg.Workloads = {WorkloadId::Espresso, WorkloadId::Make};
-  PerCfg.Allocators = metamorphicAllocators();
-  PerCfg.Caches = {{16 * 1024, 32, 1}, {32 * 1024, 32, 2}, {64 * 1024, 32, 4}};
-  PerCfg.Base.Engine.Scale = Options.Scale;
-  PerCfg.Base.Engine.Seed = Options.Seed;
-  PerCfg.Base.CacheEngine = CacheEngineKind::PerConfig;
-  MatrixSpec Stack = PerCfg;
-  Stack.Base.CacheEngine = CacheEngineKind::StackDist;
-
-  ResultStore PerStore = runMatrix(PerCfg, RunOptions);
-  ResultStore StackStore = runMatrix(Stack, RunOptions);
-
+  const std::vector<CacheConfig> Families[] = {
+      paperCacheSweep(),
+      {{16 * 1024, 32, 1}, {32 * 1024, 32, 2}, {64 * 1024, 32, 4}}};
   size_t Checked = 0;
-  for (size_t W = 0; W != PerCfg.Workloads.size(); ++W) {
-    for (size_t A = 0; A != PerCfg.Allocators.size(); ++A) {
-      for (size_t P = 0; P != PerCfg.PenaltiesCycles.size(); ++P) {
-        ++Checked;
-        const CellOutcome &Per = PerStore.at(W, A, P);
-        const CellOutcome &Dist = StackStore.at(W, A, P);
-        if (cellFingerprint(Per) != cellFingerprint(Dist))
-          Diags.error("conform-meta-engine", {},
-                      "cache engine changed cell " +
-                          cellName(PerStore, W, A, P) + ": percfg [" +
-                          cellFingerprint(Per) + "] vs stackdist [" +
-                          cellFingerprint(Dist) + "]");
+  for (const std::vector<CacheConfig> &Family : Families) {
+    MatrixSpec Spec;
+    Spec.Workloads = {WorkloadId::Espresso, WorkloadId::Make};
+    Spec.Allocators = metamorphicAllocators();
+    Spec.Caches = Family;
+    Spec.Base.Engine.Scale = Options.Scale;
+    Spec.Base.Engine.Seed = Options.Seed;
+    ResultStore Store = runMatrix(Spec, RunOptions);
+
+    for (const MatrixCell &Cell : expandMatrix(Spec)) {
+      const CellCoord &At = Cell.Coord;
+      const CellOutcome &Auto =
+          Store.at(At.WorkloadIdx, At.AllocatorIdx, At.PenaltyIdx);
+      const std::string Name =
+          cellName(Store, At.WorkloadIdx, At.AllocatorIdx, At.PenaltyIdx);
+      ++Checked;
+      if (!Auto.Ok) {
+        Diags.error("conform-meta-engine", {},
+                    "cell " + Name + " failed: " + Auto.Error);
+        continue;
       }
+      // Replay: the same cell with no cache layer of its own, observed by
+      // the per-config oracle.
+      CacheBank Bank;
+      for (const CacheConfig &Config : Family)
+        Bank.addCache(Config);
+      ExperimentConfig Replay = Cell.Config;
+      Replay.Caches.clear();
+      runExperiment(Replay, nullptr, &Bank);
+
+      std::vector<CacheStats> Expected, Got;
+      for (size_t I = 0; I != Family.size(); ++I) {
+        Expected.push_back(Bank.cache(I).stats());
+        Got.push_back(Auto.Result.Caches[I].Stats);
+      }
+      if (cacheFingerprint(Family, Expected) !=
+          cacheFingerprint(Family, Got))
+        Diags.error("conform-meta-engine", {},
+                    "cache engine disagrees with CacheBank on cell " + Name +
+                        ": engine [" + cacheFingerprint(Family, Got) +
+                        "] vs CacheBank [" +
+                        cacheFingerprint(Family, Expected) + "]");
     }
   }
   return Checked;

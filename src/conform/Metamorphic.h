@@ -29,12 +29,11 @@
 ///    size and associativity doubled together; checked both on a 512-set
 ///    chain and on a fully-associative one (a single set, Assoc ==
 ///    numBlocks), where inclusion is the pure stack property.
-///  * conform-meta-engine: switching the cache sweep engine from per-config
-///    simulation (CacheBank) to the one-pass stack-distance engine
-///    (StackSim) on a stack-legal family leaves every cell measurement
-///    bit-identical. Run with telemetry off: the stack engine adds its own
-///    probes (cache.stackdist.*), so measurements must agree while the
-///    probe inventories legitimately differ.
+///  * conform-meta-engine: the cache engine chosen from the family's shape
+///    (the one-pass ladder for the paper's direct-mapped sweep, the stack
+///    kernel for a shared-set-count LRU family) reports, cell by cell,
+///    exactly the per-member and per-source counts of a CacheBank replay
+///    of the same cell's reference stream.
 ///  * conform-meta-relabel: renaming every object id through a bijection
 ///    leaves a scripted run's reference stream and miss counts unchanged —
 ///    allocation is driven by request order and sizes, never by the names.

@@ -49,7 +49,8 @@ buildAllocator(const ExperimentConfig &Config, SimHeap &Heap, CostModel &Cost,
 RunResult runWithDriver(const ExperimentConfig &Config, double InstrPerRef,
                         const std::function<Histogram()> &SizeProfile,
                         const std::function<void(Driver &)> &Feed,
-                        TelemetrySnapshot *PartialOnError = nullptr) {
+                        TelemetrySnapshot *PartialOnError = nullptr,
+                        AccessSink *Observer = nullptr) {
   // One registry per run: no locks, no sharing. Null when telemetry is off,
   // which leaves every probe pointer below null as well.
   std::unique_ptr<Telemetry> Telem;
@@ -60,31 +61,18 @@ RunResult runWithDriver(const ExperimentConfig &Config, double InstrPerRef,
   if (Config.BatchedDelivery)
     Bus.setBatchCapacity(AccessBatch::MaxCapacity);
 
-  // Cache engine selection: PerConfig builds one CacheSim per geometry in
-  // a CacheBank; StackDist simulates the whole family in one stack-distance
-  // pass. Exactly one of the two is attached; every number harvested below
-  // is bit-identical between them (the engine-equivalence suite holds both
-  // to that).
-  CacheBank Caches;
-  std::unique_ptr<StackSim> Stack;
-  if (!Config.Caches.empty() &&
-      Config.CacheEngine == CacheEngineKind::StackDist)
-    Stack = std::make_unique<StackSim>(Config.Caches);
-  for (const CacheConfig &CacheConf : Config.Caches)
-    if (!Stack)
-      Caches.addCache(CacheConf);
-  if (Stack)
-    Bus.attach(Stack.get());
-  else if (!Caches.empty())
+  // The cache layer picks its engine from the family's shape: the
+  // one-pass StackSim kernels where they apply, one CacheSim per geometry
+  // otherwise. Every number harvested below is identical either way.
+  CacheSweep Caches(Config.Caches);
+  if (!Caches.empty())
     Bus.attach(&Caches);
   // Per-set conflict profiles are histogram-grade data, so only the full
   // level pays for the per-set counter arrays.
-  if (Telem && Telem->level() == TelemetryLevel::Full) {
-    if (Stack)
-      Stack->enableSetProfile();
-    for (size_t I = 0; I != Caches.size(); ++I)
-      Caches.cache(I).enableSetProfile();
-  }
+  if (Telem && Telem->level() == TelemetryLevel::Full)
+    Caches.enableSetProfile();
+  if (Observer)
+    Bus.attach(Observer);
 
   std::unique_ptr<PageSim> Paging;
   if (!Config.PagingMemoryKb.empty()) {
@@ -161,18 +149,14 @@ RunResult runWithDriver(const ExperimentConfig &Config, double InstrPerRef,
   Result.HeapBytes = Alloc->heapBytes();
   Result.BlocksSearched = Alloc->blocksSearched();
 
-  const size_t NumCaches = Stack ? Stack->size() : Caches.size();
-  for (size_t I = 0; I != NumCaches; ++I) {
-    const CacheConfig &CacheConf =
-        Stack ? Stack->config(I) : Caches.cache(I).config();
-    const CacheStats Stats = Stack ? Stack->statsFor(I)
-                                   : Caches.cache(I).stats();
+  for (size_t I = 0; I != Caches.size(); ++I) {
+    const CacheStats Stats = Caches.statsFor(I);
     TimeEstimate Time;
     Time.Instructions = Cost.totalInstructions();
     Time.DataRefs = Bus.totalAccesses();
     Time.MissRate = Stats.missRate();
     Time.MissPenalty = Config.MissPenaltyCycles;
-    Result.Caches.push_back({CacheConf, Stats, Time});
+    Result.Caches.push_back({Caches.config(I), Stats, Time});
   }
 
   if (Paging) {
@@ -220,31 +204,13 @@ RunResult runWithDriver(const ExperimentConfig &Config, double InstrPerRef,
   if (Telem) {
     if (Paging)
       Paging->flushRunTelemetry();
-    if (Stack) {
-      // Stack-engine probes: how one pass served the whole family. The
-      // counters ride at summary level; the reuse-distance distribution is
-      // histogram-grade and waits for full.
-      Telem->counter("cache.stackdist.frames")->add(Stack->totalFrames());
-      Telem->counter("cache.stackdist.cold")->add(Stack->coldMisses());
-      Telem->counter("cache.stackdist.members")->add(Stack->size());
-      if (Telem->level() == TelemetryLevel::Full) {
-        TelemetryHistogram *Dist =
-            Telem->histogram("cache.stackdist.distance");
-        const std::vector<uint64_t> Totals = Stack->distanceTotals();
-        for (size_t D = 0; D != Totals.size(); ++D)
-          Dist->record(D, Totals[D]);
-      }
-    }
     if (Telem->level() == TelemetryLevel::Full) {
       // Fold each cache's per-set miss counts into a conflict histogram:
       // one record per set, valued at that set's miss count. A heavy tail
       // here is the figure-6-to-8 conflict story in distribution form.
-      // Both engines surface the same cache.<I>.set_misses names with the
-      // same counts.
-      for (size_t I = 0; I != NumCaches; ++I) {
-        const std::vector<uint64_t> &Profile =
-            Stack ? Stack->setMissProfile(I)
-                  : Caches.cache(I).setMissProfile();
+      // Every engine surfaces the same counts here.
+      for (size_t I = 0; I != Caches.size(); ++I) {
+        const std::vector<uint64_t> &Profile = Caches.setMissProfile(I);
         if (Profile.empty())
           continue;
         TelemetryHistogram *Hist = Telem->histogram(
@@ -265,7 +231,8 @@ RunResult allocsim::runExperiment(const ExperimentConfig &Config) {
 }
 
 RunResult allocsim::runExperiment(const ExperimentConfig &Config,
-                                  TelemetrySnapshot *PartialOnError) {
+                                  TelemetrySnapshot *PartialOnError,
+                                  AccessSink *Observer) {
   const AppProfile &Profile = getProfile(Config.Workload);
   WorkloadEngine Engine(Profile, Config.Engine);
   return runWithDriver(
@@ -274,12 +241,13 @@ RunResult allocsim::runExperiment(const ExperimentConfig &Config,
       [&Engine](Driver &Drive) {
         Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
       },
-      PartialOnError);
+      PartialOnError, Observer);
 }
 
 RunResult
 allocsim::runScriptExperiment(const ExperimentConfig &Config,
-                              const std::vector<AllocEvent> &Events) {
+                              const std::vector<AllocEvent> &Events,
+                              AccessSink *Observer) {
   const AppProfile &Profile = getProfile(Config.Workload);
   return runWithDriver(
       Config, Profile.instrPerRef(),
@@ -293,7 +261,8 @@ allocsim::runScriptExperiment(const ExperimentConfig &Config,
       [&Events](Driver &Drive) {
         for (const AllocEvent &Event : Events)
           Drive.execute(Event);
-      });
+      },
+      nullptr, Observer);
 }
 
 std::vector<RunResult>

@@ -54,17 +54,11 @@ struct ExperimentConfig {
 
   /// Cache geometries to observe (may be empty). Entries must be unique —
   /// a duplicate would double-count in sweep output and is fatal in the
-  /// cache layer (MatrixRunner diagnoses it per cell instead).
+  /// cache layer (MatrixRunner diagnoses it per cell instead). The engine
+  /// follows from the family's shape (CacheSweep in cache/StackSim.h):
+  /// direct-mapped sweeps and shared-set-count LRU families run in one
+  /// pass, anything else one simulator per entry, with identical results.
   std::vector<CacheConfig> Caches;
-
-  /// How the cache sweep is simulated. PerConfig (the default) runs one
-  /// CacheSim per entry and accepts arbitrary mixed geometries. StackDist
-  /// runs the whole sweep in one stack-distance pass (cache/StackSim.h) —
-  /// the entries must then share block size and set count (vary only
-  /// associativity). Every reported number is bit-identical between the
-  /// engines where both apply; StackDist just gets there in one pass
-  /// instead of size() passes.
-  CacheEngineKind CacheEngine = CacheEngineKind::PerConfig;
 
   /// Memory sizes (KB) at which to sample the page-fault-rate curve; the
   /// page simulator runs only if non-empty.
@@ -200,9 +194,12 @@ RunResult runExperiment(const ExperimentConfig &Config);
 /// Like runExperiment, but if the run throws mid-stream and \p
 /// PartialOnError is non-null, the telemetry accumulated up to the failure
 /// point is snapshotted into it before the exception propagates (the
-/// MatrixRunner's quarantine records are built from this).
+/// MatrixRunner's quarantine records are built from this). A non-null \p
+/// Observer is attached to the memory bus next to the caches, so it sees
+/// exactly the reference stream they see (oracle replays use this).
 RunResult runExperiment(const ExperimentConfig &Config,
-                        TelemetrySnapshot *PartialOnError);
+                        TelemetrySnapshot *PartialOnError,
+                        AccessSink *Observer = nullptr);
 
 /// Runs one experiment whose event stream is \p Events (a parsed allocation
 /// script) instead of a synthesized workload. The rig — caches, paging,
@@ -213,8 +210,10 @@ RunResult runExperiment(const ExperimentConfig &Config,
 /// (see validateAllocEvents); the driver dies on unknown-object frees and
 /// touches. This is the replay half of TraceLint's cross-check: the
 /// analyzer's static predictions are asserted against this run's telemetry.
+/// \p Observer is as for runExperiment.
 RunResult runScriptExperiment(const ExperimentConfig &Config,
-                              const std::vector<AllocEvent> &Events);
+                              const std::vector<AllocEvent> &Events,
+                              AccessSink *Observer = nullptr);
 
 /// Runs the same workload over each allocator in \p Allocators (shared
 /// configuration otherwise), in order.

@@ -2,7 +2,6 @@
 
 #include "core/MatrixRunner.h"
 
-#include "cache/StackSim.h"
 #include "support/Rng.h"
 #include "support/SpecParse.h"
 
@@ -45,11 +44,6 @@ std::string validateCellConfig(const ExperimentConfig &Config) {
       if (Config.Caches[J] == Config.Caches[I])
         return "duplicate cache geometry '" + Config.Caches[I].describe() +
                "'";
-  if (Config.CacheEngine == CacheEngineKind::StackDist) {
-    std::string Problem = describeStackFamilyProblem(Config.Caches);
-    if (!Problem.empty())
-      return "engine=stackdist: " + Problem;
-  }
   if (Config.MissPenaltyCycles == 0)
     return "miss penalty must be positive";
   if (Config.Engine.Scale == 0)
@@ -195,15 +189,10 @@ void writeMatrixJson(std::ostream &OS, const MatrixSpec &Spec,
     OS << (I ? ", " : "") << Spec.PagingMemoryKb[I];
   OS << "]\n  },\n";
 
-  // The cache_engine key appears only for the non-default engine, so
-  // default-engine output stays byte-identical to pre-StackSim runs.
   OS << "  \"engine\": {\"scale\": " << Spec.Base.Engine.Scale
      << ", \"seed\": " << Spec.Base.Engine.Seed
      << ", \"salt_seed_per_workload\": "
      << (Spec.SaltSeedPerWorkload ? "true" : "false");
-  if (Spec.Base.CacheEngine != CacheEngineKind::PerConfig)
-    OS << ", \"cache_engine\": \"" << cacheEngineName(Spec.Base.CacheEngine)
-       << "\"";
   OS << "},\n";
 
   // The faults section (plan echo, totals, quarantine) exists only under a
@@ -693,20 +682,10 @@ bool allocsim::parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,
                 "scalar exists for equivalence checks)";
         return false;
       }
-    } else if (Key == "engine") {
-      if (std::optional<CacheEngineKind> Engine = tryParseCacheEngine(Value))
-        Spec.Base.CacheEngine = *Engine;
-      else {
-        Error = "bad matrix value 'engine=" + Value +
-                "' (expected percfg or stackdist; results are bit-identical, "
-                "stackdist simulates a shared-set-count cache family in one "
-                "pass)";
-        return false;
-      }
     } else {
       Error = "unknown matrix axis '" + Key +
               "' (expected workloads/allocators/caches/paging/penalty/"
-              "telemetry/delivery/engine)";
+              "telemetry/delivery)";
       return false;
     }
   }

@@ -220,8 +220,8 @@ bool parseCacheList(const std::string &Text, std::vector<CacheConfig> &Out,
 ///
 /// Axes are ';'-separated key=value pairs; workloads and allocators are
 /// required, caches/paging default to empty, penalty defaults to {25}.
-/// The scalar keys telemetry=off|summary|full, delivery=batched|scalar and
-/// engine=percfg|stackdist set the corresponding Spec.Base fields. Workload
+/// The scalar keys telemetry=off|summary|full and delivery=batched|scalar
+/// set the corresponding Spec.Base fields. Workload
 /// engine options (scale/seed/...) stay in Spec.Base and are not part of
 /// the axis string. Returns false with a diagnostic on malformed input.
 bool parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,

@@ -69,6 +69,22 @@ struct MemAccess {
   AccessSource Source = AccessSource::Application;
 };
 
+/// Inclusive range of the 2^Shift-byte frames (cache blocks, pages) one
+/// access touches; a zero-size access touches its first byte. The last byte
+/// is computed in 64 bits, so a reference running past the top of the
+/// 32-bit space covers the frames beyond 4 GiB instead of wrapping to an
+/// empty range.
+struct FrameRange {
+  uint64_t First;
+  uint64_t Last;
+};
+
+inline FrameRange frameRange(const MemAccess &Access, uint32_t Shift) {
+  const uint64_t Begin = Access.Address;
+  const uint64_t End = Begin + (Access.Size == 0 ? 0 : Access.Size - 1);
+  return {Begin >> Shift, End >> Shift};
+}
+
 } // namespace allocsim
 
 #endif // ALLOCSIM_MEM_MEMACCESS_H

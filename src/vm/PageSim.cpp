@@ -81,10 +81,8 @@ void PageSim::access(const MemAccess &Acc) {
   // A multi-byte access that straddles a page boundary touches both pages;
   // with 4 KB pages and word accesses this is effectively never taken, but
   // correctness is cheap.
-  uint64_t FirstPage = Acc.Address >> PageShift;
-  uint64_t LastPage =
-      (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1) >> PageShift;
-  for (uint64_t Page = FirstPage; Page <= LastPage; ++Page) {
+  const FrameRange Pages = frameRange(Acc, PageShift);
+  for (uint64_t Page = Pages.First; Page <= Pages.Last; ++Page) {
     ++References;
     if (RunLenHist)
       noteRunPage(Page, 1);
@@ -131,10 +129,8 @@ void PageSim::accessBatch(const MemAccess *Batch, size_t Count) {
       const size_t RunStart = I;
       while (I != Count) {
         const MemAccess &Acc = Batch[I];
-        const uint64_t First = Acc.Address >> Shift;
-        const uint64_t Last =
-            (Acc.Address + std::max<uint32_t>(Acc.Size, 1) - 1) >> Shift;
-        if (First != Recent || Last != Recent)
+        const FrameRange Pages = frameRange(Acc, Shift);
+        if (Pages.First != Recent || Pages.Last != Recent)
           break;
         ++I;
       }

@@ -1,16 +1,17 @@
-//===- tests/cache_engine_equivalence_test.cpp - StackSim vs CacheBank ----===//
+//===- tests/cache_engine_equivalence_test.cpp - One-pass vs CacheBank ----===//
 //
-// The exactness contract behind the stack-distance engine: for any cache
-// family sharing block size and set count, StackSim's derived statistics —
-// total and split by AccessSource — must equal per-config CacheBank
-// simulation *bit-exactly*, at the sink level (synthesized streams, scalar
-// and batched delivery) and end to end (corpus scripts and the full
-// Figure 6-8 sweep across all seven allocator kinds, through
-// runScriptExperiment/runExperiment with engine=percfg vs stackdist).
+// The exactness contract behind the one-pass cache engine: for every family
+// onePassKernelFor accepts — direct-mapped ladders and shared-set-count LRU
+// families — StackSim's derived statistics (total, split by AccessSource,
+// and per-set miss profiles) must equal per-config CacheBank simulation
+// *bit-exactly*. Checked at the sink level (synthesized streams over
+// adversarial families, scalar and batched delivery) and end to end (corpus
+// scripts x all nine allocators, and the Figure 6-8 sweep through the
+// workload engine), where the automatically chosen engine is compared with
+// a CacheBank observing the same run's reference stream.
 //
 // A failure here means the one-pass engine and the reference simulators
-// disagree about LRU semantics; neither side is trusted over the other —
-// the stack engine double-enters the cache bank's books.
+// disagree; neither side is trusted over the other.
 //
 //===----------------------------------------------------------------------===//
 
@@ -29,8 +30,7 @@ using namespace allocsim;
 
 namespace {
 
-/// The seven allocator kinds the acceptance contract quantifies over: the
-/// paper's five plus the two modern CacheLab backends.
+/// The paper's five allocators plus the two modern CacheLab backends.
 std::vector<AllocatorKind> sevenAllocators() {
   std::vector<AllocatorKind> Kinds(PaperAllocators, PaperAllocators + 5);
   Kinds.push_back(AllocatorKind::BitmapFit);
@@ -38,10 +38,24 @@ std::vector<AllocatorKind> sevenAllocators() {
   return Kinds;
 }
 
-/// The three family shapes under test: the Figure 6-8 family (512 sets,
-/// assoc 1..16), a fully-associative chain (1 set each — Assoc equals
-/// numBlocks, the inclusion property in its purest form), and a deliberate
-/// mixed-associativity family that shares sets but skips powers.
+/// Every allocator kind: the seven above plus BestFit and Custom.
+std::vector<AllocatorKind> nineAllocators() {
+  std::vector<AllocatorKind> Kinds = sevenAllocators();
+  Kinds.push_back(AllocatorKind::BestFit);
+  Kinds.push_back(AllocatorKind::Custom);
+  return Kinds;
+}
+
+/// Stack-kernel families: 512 sets at associativity 1..16 (the 16K..256K
+/// capacities), a fully-associative chain (1 set each — the inclusion
+/// property in its purest form), and one that shares sets but skips powers.
+std::vector<CacheConfig> assocFamily() {
+  std::vector<CacheConfig> Family;
+  for (uint32_t Assoc = 1; Assoc <= 16; Assoc *= 2)
+    Family.push_back(CacheConfig{16 * 1024 * Assoc, 32, Assoc});
+  return Family;
+}
+
 std::vector<CacheConfig> fullyAssocFamily() {
   return {CacheConfig{512, 32, 16}, CacheConfig{1024, 32, 32},
           CacheConfig{2048, 32, 64}};
@@ -52,35 +66,43 @@ std::vector<CacheConfig> sparseFamily() {
           CacheConfig{256 * 1024, 32, 16}};
 }
 
-void expectStatsEqual(const CacheStats &Per, const CacheStats &Dist,
+/// Direct-mapped sweep of every power-of-two capacity in [MinKb, MaxKb].
+std::vector<CacheConfig> directMappedSweep(uint32_t MinKb, uint32_t MaxKb,
+                                           uint32_t BlockBytes) {
+  std::vector<CacheConfig> Family;
+  for (uint32_t Kb = MinKb; Kb <= MaxKb; Kb *= 2)
+    Family.push_back(CacheConfig{Kb * 1024, BlockBytes, 1});
+  return Family;
+}
+
+void expectStatsEqual(const CacheStats &Bank, const CacheStats &OnePass,
                       const std::string &What) {
   SCOPED_TRACE(What);
-  EXPECT_EQ(Per.Accesses, Dist.Accesses);
-  EXPECT_EQ(Per.Misses, Dist.Misses);
+  EXPECT_EQ(Bank.Accesses, OnePass.Accesses);
+  EXPECT_EQ(Bank.Misses, OnePass.Misses);
   for (unsigned S = 0; S != NumAccessSources; ++S) {
-    EXPECT_EQ(Per.AccessesBySource[S], Dist.AccessesBySource[S])
+    EXPECT_EQ(Bank.AccessesBySource[S], OnePass.AccessesBySource[S])
         << "source " << S;
-    EXPECT_EQ(Per.MissesBySource[S], Dist.MissesBySource[S])
+    EXPECT_EQ(Bank.MissesBySource[S], OnePass.MissesBySource[S])
         << "source " << S;
   }
 }
 
 /// Synthesizes a reference stream that exercises every dimension the frame
 /// split and set mapping care about: all three sources, sizes that straddle
-/// block boundaries, reuse at many distances, and addresses whose Size
-/// extension wraps the 32-bit space (both engines must agree on the
-/// degenerate empty frame range too).
+/// block boundaries, reuse at many distances (offsets within 32K for dense
+/// reuse, within 1M so the largest caches matter too), and references that
+/// run past the top of the 32-bit space.
 std::vector<MemAccess> synthesizeStream(uint64_t Seed, size_t Count) {
   Rng R(Seed);
   std::vector<MemAccess> Stream;
   Stream.reserve(Count);
-  // A handful of hot bases makes reuse distances realistic instead of
-  // uniformly cold.
   const Addr Bases[] = {HeapBase, HeapBase + 4096, StackBase, 0xFFFFFFF0u};
   for (size_t I = 0; I != Count; ++I) {
     MemAccess Acc;
     const Addr Base = Bases[R.nextBelow(4)];
-    Acc.Address = Base + static_cast<Addr>(R.nextBelow(32 * 1024));
+    const uint64_t Span = R.nextBool(0.7) ? 32 * 1024 : 1024 * 1024;
+    Acc.Address = Base + static_cast<Addr>(R.nextBelow(Span));
     Acc.Size = static_cast<uint8_t>(1 + R.nextBelow(64));
     Acc.Kind = R.nextBool(0.3) ? AccessKind::Write : AccessKind::Read;
     Acc.Source = static_cast<AccessSource>(R.nextBelow(NumAccessSources));
@@ -89,40 +111,50 @@ std::vector<MemAccess> synthesizeStream(uint64_t Seed, size_t Count) {
   return Stream;
 }
 
-/// Delivers \p Stream to both engines — scalar and batched — and asserts
-/// member-by-member equality of every derived statistic.
+/// Delivers \p Stream to CacheBank and StackSim — scalar and batched — with
+/// set profiles on, and asserts member-by-member equality of every derived
+/// statistic and every per-set miss count.
 void checkFamilyOnStream(const std::vector<CacheConfig> &Family,
                          const std::vector<MemAccess> &Stream,
                          const std::string &What) {
-  ASSERT_EQ(describeStackFamilyProblem(Family), "");
+  ASSERT_NE(onePassKernelFor(Family), OnePassKernel::None) << What;
 
   CacheBank ScalarBank, BatchedBank;
   for (const CacheConfig &Config : Family) {
     ScalarBank.addCache(Config);
     BatchedBank.addCache(Config);
   }
-  StackSim ScalarStack(Family), BatchedStack(Family);
+  StackSim ScalarOne(Family), BatchedOne(Family);
+  for (size_t I = 0; I != Family.size(); ++I) {
+    ScalarBank.cache(I).enableSetProfile();
+    BatchedBank.cache(I).enableSetProfile();
+  }
+  ScalarOne.enableSetProfile();
+  BatchedOne.enableSetProfile();
 
   for (const MemAccess &Acc : Stream) {
     ScalarBank.access(Acc);
-    ScalarStack.access(Acc);
+    ScalarOne.access(Acc);
   }
   constexpr size_t Chunk = 256;
   for (size_t Offset = 0; Offset < Stream.size(); Offset += Chunk) {
     size_t Count = std::min(Chunk, Stream.size() - Offset);
     BatchedBank.accessBatch(Stream.data() + Offset, Count);
-    BatchedStack.accessBatch(Stream.data() + Offset, Count);
+    BatchedOne.accessBatch(Stream.data() + Offset, Count);
   }
 
   for (size_t I = 0; I != Family.size(); ++I) {
     const std::string Member = What + ", member " + Family[I].describe();
-    expectStatsEqual(ScalarBank.cache(I).stats(), ScalarStack.statsFor(I),
+    expectStatsEqual(ScalarBank.cache(I).stats(), ScalarOne.statsFor(I),
                      Member + " (scalar)");
-    expectStatsEqual(BatchedBank.cache(I).stats(), BatchedStack.statsFor(I),
+    expectStatsEqual(BatchedBank.cache(I).stats(), BatchedOne.statsFor(I),
                      Member + " (batched)");
-    // The two StackSim delivery paths must agree with each other too.
-    expectStatsEqual(ScalarStack.statsFor(I), BatchedStack.statsFor(I),
-                     Member + " (stack scalar vs batched)");
+    EXPECT_EQ(ScalarBank.cache(I).setMissProfile(),
+              ScalarOne.setMissProfile(I))
+        << Member << " set profile (scalar)";
+    EXPECT_EQ(BatchedBank.cache(I).setMissProfile(),
+              BatchedOne.setMissProfile(I))
+        << Member << " set profile (batched)";
   }
 }
 
@@ -150,29 +182,30 @@ std::vector<AllocEvent> loadScript(const std::filesystem::path &Path) {
   return Events;
 }
 
-/// Runs the same experiment under both engines and asserts per-cache
-/// bit-exactness of everything RunResult carries for a cache.
-void checkRunPair(const ExperimentConfig &Base, const std::string &What,
-                  const std::vector<AllocEvent> *Script = nullptr) {
-  ExperimentConfig PerCfg = Base;
-  PerCfg.CacheEngine = CacheEngineKind::PerConfig;
-  ExperimentConfig Stack = Base;
-  Stack.CacheEngine = CacheEngineKind::StackDist;
+/// Runs \p Config (whose cache layer picks its own engine), then the same
+/// run with no cache layer, observed by a CacheBank over the same family;
+/// asserts per-member bit-exactness of every statistic RunResult carries.
+void checkRunAgainstBank(const ExperimentConfig &Config,
+                         const std::string &What,
+                         const std::vector<AllocEvent> *Script = nullptr) {
+  CacheBank Bank;
+  for (const CacheConfig &Cache : Config.Caches)
+    Bank.addCache(Cache);
+  ExperimentConfig Replay = Config;
+  Replay.Caches.clear();
 
-  RunResult Per = Script ? runScriptExperiment(PerCfg, *Script)
-                         : runExperiment(PerCfg);
-  RunResult Dist = Script ? runScriptExperiment(Stack, *Script)
-                          : runExperiment(Stack);
+  RunResult Auto =
+      Script ? runScriptExperiment(Config, *Script) : runExperiment(Config);
+  RunResult Oracle = Script ? runScriptExperiment(Replay, *Script, &Bank)
+                            : runExperiment(Replay, nullptr, &Bank);
 
-  ASSERT_EQ(Per.Caches.size(), Dist.Caches.size());
-  EXPECT_EQ(Per.TotalRefs, Dist.TotalRefs);
-  for (size_t I = 0; I != Per.Caches.size(); ++I) {
+  ASSERT_EQ(Auto.Caches.size(), Bank.size());
+  EXPECT_EQ(Auto.TotalRefs, Oracle.TotalRefs);
+  for (size_t I = 0; I != Bank.size(); ++I) {
     const std::string Member =
-        What + ", member " + Per.Caches[I].Config.describe();
-    EXPECT_EQ(Per.Caches[I].Config, Dist.Caches[I].Config);
-    expectStatsEqual(Per.Caches[I].Stats, Dist.Caches[I].Stats, Member);
-    EXPECT_EQ(Per.Caches[I].Time.totalCycles(), Dist.Caches[I].Time.totalCycles())
-        << Member;
+        What + ", member " + Auto.Caches[I].Config.describe();
+    EXPECT_EQ(Auto.Caches[I].Config, Bank.cache(I).config());
+    expectStatsEqual(Bank.cache(I).stats(), Auto.Caches[I].Stats, Member);
   }
 }
 
@@ -183,10 +216,21 @@ TEST(CacheEngineEquivalenceTest, SynthesizedStreams) {
     const char *Name;
     std::vector<CacheConfig> Family;
   } Families[] = {
-      {"fig678", stackCacheSweep()},
+      // Stack kernel.
+      {"assoc", assocFamily()},
       {"fully-assoc", fullyAssocFamily()},
       {"sparse", sparseFamily()},
+      // Ladder kernel.
+      {"paper", paperCacheSweep()},
+      {"out-of-order",
+       {CacheConfig{64 * 1024, 32, 1}, CacheConfig{16 * 1024, 32, 1},
+        CacheConfig{256 * 1024, 32, 1}}},
+      {"non-adjacent",
+       {CacheConfig{16 * 1024, 32, 1}, CacheConfig{128 * 1024, 32, 1}}},
       {"single", {CacheConfig{16 * 1024, 32, 1}}},
+      {"16B blocks", directMappedSweep(16, 256, 16)},
+      {"64B blocks", directMappedSweep(16, 256, 64)},
+      {"nine rungs", directMappedSweep(2, 512, 32)},
   };
   for (const auto &Entry : Families)
     for (uint64_t Seed : {1u, 42u, 20260808u})
@@ -196,109 +240,159 @@ TEST(CacheEngineEquivalenceTest, SynthesizedStreams) {
 }
 
 TEST(CacheEngineEquivalenceTest, TinyStreamEdges) {
-  // Empty stream, one access, and one whose frame range is empty because
-  // the 32-bit address arithmetic wraps.
-  const std::vector<CacheConfig> Family = stackCacheSweep();
-  checkFamilyOnStream(Family, {}, "empty stream");
-  checkFamilyOnStream(Family, {MemAccess{HeapBase, 4}}, "one access");
-  MemAccess Wrap;
-  Wrap.Address = 0xFFFFFFFFu;
-  Wrap.Size = 8;
-  checkFamilyOnStream(Family, {Wrap}, "wrapping access");
+  for (const std::vector<CacheConfig> &Family :
+       {paperCacheSweep(), assocFamily()}) {
+    checkFamilyOnStream(Family, {}, "empty stream");
+    checkFamilyOnStream(Family, {MemAccess{HeapBase, 4}}, "one access");
+    // A reference running past 4 GiB touches the frame below the boundary
+    // and the one above it; it must not wrap to an empty range.
+    MemAccess Wrap;
+    Wrap.Address = 0xFFFFFFFFu;
+    Wrap.Size = 8;
+    checkFamilyOnStream(Family, {Wrap}, "wrapping access");
+    CacheBank Bank;
+    for (const CacheConfig &Config : Family)
+      Bank.addCache(Config);
+    Bank.access(Wrap);
+    for (size_t I = 0; I != Bank.size(); ++I) {
+      EXPECT_EQ(Bank.cache(I).stats().Accesses, 2u);
+      EXPECT_EQ(Bank.cache(I).stats().Misses, 2u);
+    }
+  }
+}
+
+TEST(CacheEngineEquivalenceTest, KernelChoicePinsFamilyShapes) {
+  const struct {
+    const char *Name;
+    std::vector<CacheConfig> Family;
+    OnePassKernel Expected;
+  } Cases[] = {
+      {"paper sweep", paperCacheSweep(), OnePassKernel::Ladder},
+      {"out-of-order ladder",
+       {CacheConfig{64 * 1024, 32, 1}, CacheConfig{16 * 1024, 32, 1},
+        CacheConfig{256 * 1024, 32, 1}},
+       OnePassKernel::Ladder},
+      {"non-adjacent ladder",
+       {CacheConfig{16 * 1024, 32, 1}, CacheConfig{128 * 1024, 32, 1}},
+       OnePassKernel::Ladder},
+      {"single direct-mapped", {CacheConfig{16 * 1024, 32, 1}},
+       OnePassKernel::Ladder},
+      {"nine rungs", directMappedSweep(2, 512, 32), OnePassKernel::Ladder},
+      {"assoc family", assocFamily(), OnePassKernel::Stack},
+      {"fully associative", fullyAssocFamily(), OnePassKernel::Stack},
+      {"direct-mapped + 2-way at 512 sets",
+       {CacheConfig{16 * 1024, 32, 1}, CacheConfig{32 * 1024, 32, 2}},
+       OnePassKernel::Stack},
+      {"mixed 16K direct-mapped + 64K 2-way",
+       {CacheConfig{16 * 1024, 32, 1}, CacheConfig{64 * 1024, 32, 2}},
+       OnePassKernel::None},
+      {"single LRU", {CacheConfig{32 * 1024, 32, 2}}, OnePassKernel::None},
+      {"empty", {}, OnePassKernel::None},
+  };
+  for (const auto &Case : Cases) {
+    SCOPED_TRACE(Case.Name);
+    EXPECT_EQ(onePassKernelFor(Case.Family), Case.Expected);
+    // The run's cache layer takes exactly this choice.
+    EXPECT_EQ(CacheSweep(Case.Family).kernel(), Case.Expected);
+  }
 }
 
 TEST(CacheEngineEquivalenceTest, CorpusScriptsAllAllocators) {
   for (const auto &Path : corpusScripts()) {
     std::vector<AllocEvent> Events = loadScript(Path);
-    for (AllocatorKind Allocator : sevenAllocators()) {
-      for (bool Batched : {false, true}) {
-        SCOPED_TRACE(Path.filename().string() + " vs " +
-                     allocatorKindName(Allocator) +
-                     (Batched ? " (batched)" : " (scalar)"));
-        ExperimentConfig Config;
-        Config.Allocator = Allocator;
-        Config.Caches = stackCacheSweep();
-        Config.BatchedDelivery = Batched;
-        checkRunPair(Config, Path.filename().string(), &Events);
+    for (AllocatorKind Allocator : nineAllocators()) {
+      for (const std::vector<CacheConfig> &Family :
+           {paperCacheSweep(), assocFamily()}) {
+        for (bool Batched : {false, true}) {
+          SCOPED_TRACE(Path.filename().string() + " vs " +
+                       allocatorKindName(Allocator) +
+                       (Batched ? " (batched)" : " (scalar)"));
+          ExperimentConfig Config;
+          Config.Allocator = Allocator;
+          Config.Caches = Family;
+          Config.BatchedDelivery = Batched;
+          checkRunAgainstBank(Config, Path.filename().string(), &Events);
+        }
       }
     }
   }
 }
 
 TEST(CacheEngineEquivalenceTest, Fig678SweepAllSevenAllocators) {
-  // The acceptance sweep: the full Figure 6-8 family under every allocator
-  // kind, through the real workload engine (reduced scale — the reference
-  // mix is identical in kind, just shorter).
+  // The acceptance sweep: the Figure 6-8 direct-mapped family under every
+  // allocator kind, through the real workload engine (reduced scale — the
+  // reference mix is identical in kind, just shorter).
   for (AllocatorKind Allocator : sevenAllocators()) {
     SCOPED_TRACE(allocatorKindName(Allocator));
     ExperimentConfig Config;
     Config.Workload = WorkloadId::GsSmall;
     Config.Allocator = Allocator;
     Config.Engine.Scale = 64;
-    Config.Caches = stackCacheSweep();
-    checkRunPair(Config, allocatorKindName(Allocator));
+    Config.Caches = paperCacheSweep();
+    checkRunAgainstBank(Config, allocatorKindName(Allocator));
   }
 }
 
 TEST(CacheEngineEquivalenceTest, FullyAssociativeEndToEnd) {
   // Assoc == numBlocks() members (one set each): the degenerate geometry
-  // satellite meets the inclusion property head on.
+  // meets the inclusion property head on.
   ExperimentConfig Config;
   Config.Workload = WorkloadId::Espresso;
   Config.Engine.Scale = 64;
   Config.Caches = fullyAssocFamily();
-  checkRunPair(Config, "fully-assoc end-to-end");
+  checkRunAgainstBank(Config, "fully-assoc end-to-end");
 }
 
 TEST(CacheEngineEquivalenceTest, SetMissTelemetryMatches) {
-  // Under full telemetry both engines must surface identical
-  // cache.<I>.set_misses histograms (and identical merged snapshots except
-  // for the stack engine's own cache.stackdist.* additions).
+  // Under full telemetry the chosen engine's cache.<I>.set_misses
+  // histograms must be exactly those a CacheBank's per-set profiles give.
   std::vector<AllocEvent> Events = loadScript(corpusScripts().front());
-  ExperimentConfig Base;
-  Base.Allocator = AllocatorKind::FirstFit;
-  Base.Caches = stackCacheSweep();
-  Base.Telemetry = TelemetryLevel::Full;
+  for (const std::vector<CacheConfig> &Family :
+       {paperCacheSweep(), assocFamily()}) {
+    ExperimentConfig Config;
+    Config.Allocator = AllocatorKind::FirstFit;
+    Config.Caches = Family;
+    Config.Telemetry = TelemetryLevel::Full;
+    RunResult Auto = runScriptExperiment(Config, Events);
 
-  ExperimentConfig PerCfg = Base;
-  PerCfg.CacheEngine = CacheEngineKind::PerConfig;
-  ExperimentConfig Stack = Base;
-  Stack.CacheEngine = CacheEngineKind::StackDist;
-  RunResult Per = runScriptExperiment(PerCfg, Events);
-  RunResult Dist = runScriptExperiment(Stack, Events);
+    CacheBank Bank;
+    for (const CacheConfig &Cache : Family)
+      Bank.cache(Bank.addCache(Cache)).enableSetProfile();
+    ExperimentConfig Replay = Config;
+    Replay.Caches.clear();
+    Replay.Telemetry = TelemetryLevel::Off;
+    runScriptExperiment(Replay, Events, &Bank);
 
-  for (size_t I = 0; I != Base.Caches.size(); ++I) {
-    std::string Name = "cache." + std::to_string(I) + ".set_misses";
-    EXPECT_EQ(Per.Telemetry.histogram(Name), Dist.Telemetry.histogram(Name))
-        << Name;
+    for (size_t I = 0; I != Family.size(); ++I) {
+      TelemetryHistogram Expected;
+      for (uint64_t Misses : Bank.cache(I).setMissProfile())
+        Expected.record(Misses);
+      std::string Name = "cache." + std::to_string(I) + ".set_misses";
+      EXPECT_EQ(Auto.Telemetry.histogram(Name), Expected.snapshot())
+          << Name << " of " << Family[I].describe();
+    }
   }
-  // The stack engine's probes exist and are self-consistent: every frame
-  // is either found at a finite distance or cold.
-  uint64_t Frames = Dist.Telemetry.counterValue("cache.stackdist.frames");
-  uint64_t Cold = Dist.Telemetry.counterValue("cache.stackdist.cold");
-  EXPECT_EQ(Frames, Per.Caches[0].Stats.Accesses);
-  EXPECT_EQ(Dist.Telemetry.counterValue("cache.stackdist.members"),
-            Base.Caches.size());
-  const HistogramSnapshot &Distances =
-      Dist.Telemetry.histogram("cache.stackdist.distance");
-  EXPECT_EQ(Distances.Count + Cold, Frames);
 }
 
 TEST(CacheEngineEquivalenceTest, FamilyProblemDiagnostics) {
-  EXPECT_EQ(describeStackFamilyProblem({}), "");
-  EXPECT_EQ(describeStackFamilyProblem(stackCacheSweep()), "");
-  EXPECT_EQ(describeStackFamilyProblem(fullyAssocFamily()), "");
-
-  // paperCacheSweep is all direct-mapped: set counts differ.
-  EXPECT_NE(describeStackFamilyProblem(paperCacheSweep()), "");
-  // Mixed block sizes.
-  EXPECT_NE(describeStackFamilyProblem(
-                {CacheConfig{16 * 1024, 32, 1}, CacheConfig{32 * 1024, 64, 2}}),
-            "");
+  // Ill-formed families get no one-pass kernel, so the cache layer hands
+  // them to CacheBank, whose checks diagnose them.
+  EXPECT_EQ(onePassKernelFor({}), OnePassKernel::None);
+  // Mixed block sizes, in either shape.
+  EXPECT_EQ(onePassKernelFor({CacheConfig{16 * 1024, 32, 1},
+                              CacheConfig{32 * 1024, 64, 1}}),
+            OnePassKernel::None);
+  EXPECT_EQ(onePassKernelFor({CacheConfig{16 * 1024, 32, 1},
+                              CacheConfig{32 * 1024, 64, 2}}),
+            OnePassKernel::None);
   // Duplicates.
-  EXPECT_NE(describeStackFamilyProblem(
-                {CacheConfig{16 * 1024, 32, 1}, CacheConfig{16 * 1024, 32, 1}}),
-            "");
+  EXPECT_EQ(onePassKernelFor({CacheConfig{16 * 1024, 32, 1},
+                              CacheConfig{16 * 1024, 32, 1}}),
+            OnePassKernel::None);
+  EXPECT_EQ(onePassKernelFor({CacheConfig{32 * 1024, 32, 2},
+                              CacheConfig{32 * 1024, 32, 2}}),
+            OnePassKernel::None);
   // Invalid member.
-  EXPECT_NE(describeStackFamilyProblem({CacheConfig{16 * 1024, 0, 1}}), "");
+  EXPECT_EQ(onePassKernelFor({CacheConfig{16 * 1024, 0, 1}}),
+            OnePassKernel::None);
 }

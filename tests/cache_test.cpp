@@ -289,20 +289,6 @@ TEST(CacheBankTest, PaperSweepShape) {
   }
 }
 
-TEST(StackSimTest, SweepShapeMatchesPaperFamily) {
-  std::vector<CacheConfig> Sweep = stackCacheSweep();
-  ASSERT_EQ(Sweep.size(), 5u);
-  EXPECT_EQ(Sweep.front(), (CacheConfig{16 * 1024, 32, 1}))
-      << "smallest member is the paper's direct-mapped config";
-  EXPECT_EQ(Sweep.back(), (CacheConfig{256 * 1024, 32, 16}));
-  for (const CacheConfig &Config : Sweep) {
-    EXPECT_TRUE(Config.valid());
-    EXPECT_EQ(Config.numSets(), 512u) << "one shared set count";
-    EXPECT_EQ(Config.BlockBytes, 32u);
-  }
-  EXPECT_EQ(describeStackFamilyProblem(Sweep), "");
-}
-
 TEST(StackSimTest, DerivesPerMemberStatsFromOnePass) {
   // One-set family (64B two-way and 128B four-way share a single set at
   // 32B blocks): distances are directly checkable by hand.
@@ -326,26 +312,54 @@ TEST(StackSimTest, DerivesPerMemberStatsFromOnePass) {
       << "reset must clear stack contents and per-source counters";
 }
 
+TEST(StackSimTest, LadderDerivesDirectMappedStatsFromOnePass) {
+  // Direct-mapped 64B (2 sets) and 128B (4 sets), listed largest first.
+  const std::vector<CacheConfig> Family = {CacheConfig{128, 32, 1},
+                                           CacheConfig{64, 32, 1}};
+  StackSim Ladder(Family);
+  ASSERT_EQ(Ladder.kernel(), OnePassKernel::Ladder);
+  // Blocks 0 4 0: 0 and 4 collide in both caches (4 mod 2 == 4 mod 4 == 0).
+  // Blocks 2 0: 2 evicts 0 from the 2-set cache only (2 mod 4 == 2).
+  for (Addr A : {0x00u, 0x80u, 0x00u, 0x40u, 0x00u})
+    Ladder.access({A, 4, AccessKind::Read, AccessSource::Allocator});
+  EXPECT_EQ(Ladder.statsFor(1).Accesses, 5u);
+  EXPECT_EQ(Ladder.statsFor(1).Misses, 5u) << "64B: every block conflicts";
+  EXPECT_EQ(Ladder.statsFor(0).Accesses, 5u);
+  EXPECT_EQ(Ladder.statsFor(0).Misses, 4u) << "128B: the last 0 hits";
+  EXPECT_EQ(Ladder.statsFor(0).missesFrom(AccessSource::Allocator), 4u);
+
+  Ladder.reset();
+  EXPECT_EQ(Ladder.statsFor(0).Accesses, 0u);
+  Ladder.access({0x00, 4, AccessKind::Read, AccessSource::Application});
+  EXPECT_EQ(Ladder.statsFor(0).missesFrom(AccessSource::Application), 1u)
+      << "reset must clear tags and per-source counters";
+}
+
 TEST(StackSimDeathTest, RejectsIllFormedFamilies) {
-  EXPECT_DEATH({ StackSim Stack({}); }, "at least one cache configuration");
-  // Mixed set counts (the paper sweep is all direct-mapped => sets vary).
-  EXPECT_DEATH({ StackSim Stack(paperCacheSweep()); }, "one set count");
+  EXPECT_DEATH({ StackSim Stack({}); }, "no one-pass kernel");
+  // Mixed shapes: direct-mapped and 2-way members with different set counts.
+  EXPECT_DEATH(
+      {
+        StackSim Stack(
+            {CacheConfig{16 * 1024, 32, 1}, CacheConfig{64 * 1024, 32, 2}});
+      },
+      "no one-pass kernel");
   // Mixed block sizes.
   EXPECT_DEATH(
       {
         StackSim Stack(
-            {CacheConfig{16 * 1024, 32, 1}, CacheConfig{32 * 1024, 64, 2}});
+            {CacheConfig{16 * 1024, 32, 1}, CacheConfig{32 * 1024, 64, 1}});
       },
-      "one block size");
-  // Duplicates and invalid members funnel through the same validator.
+      "no one-pass kernel");
+  // Duplicates and invalid members.
   EXPECT_DEATH(
       {
         StackSim Stack(
             {CacheConfig{16 * 1024, 32, 1}, CacheConfig{16 * 1024, 32, 1}});
       },
-      "duplicate cache configuration");
+      "no one-pass kernel");
   EXPECT_DEATH({ StackSim Stack({CacheConfig{16 * 1024, 0, 1}}); },
-               "invalid cache configuration");
+               "no one-pass kernel");
 }
 
 TEST(CacheBankTest, MissRateMonotoneInCacheSizeForLoopWorkload) {

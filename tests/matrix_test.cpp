@@ -491,28 +491,9 @@ TEST(MatrixRunnerTest, ParseMatrixSpecDiagnostics) {
   EXPECT_NE(Error.find("invalid cache geometry"), std::string::npos);
 }
 
-TEST(MatrixRunnerTest, ParseMatrixSpecEngineAxis) {
-  MatrixSpec Spec;
-  std::string Error;
-  ASSERT_TRUE(parseMatrixSpec(
-      "workloads=gs;allocators=BSD;caches=16;engine=stackdist", Spec, Error))
-      << Error;
-  EXPECT_EQ(Spec.Base.CacheEngine, CacheEngineKind::StackDist);
-
-  ASSERT_TRUE(parseMatrixSpec("workloads=gs;allocators=BSD;engine=percfg",
-                              Spec, Error))
-      << Error;
-  EXPECT_EQ(Spec.Base.CacheEngine, CacheEngineKind::PerConfig);
-
-  EXPECT_FALSE(parseMatrixSpec(
-      "workloads=gs;allocators=BSD;engine=warpdrive", Spec, Error));
-  EXPECT_NE(Error.find("engine=warpdrive"), std::string::npos);
-}
-
 TEST(MatrixRunnerTest, DegenerateCellConfigsFailGracefully) {
-  // Duplicate geometries and stack-illegal families must surface as
-  // recorded cell errors (the cache layer would abort), leaving the rest
-  // of the matrix intact.
+  // Duplicate geometries must surface as recorded cell errors (the cache
+  // layer would abort), leaving the rest of the matrix intact.
   MatrixSpec Spec;
   Spec.Workloads = {WorkloadId::Espresso};
   Spec.Allocators = {AllocatorKind::FirstFit};
@@ -523,17 +504,9 @@ TEST(MatrixRunnerTest, DegenerateCellConfigsFailGracefully) {
   EXPECT_NE(Dup.at(0, 0, 0).Error.find("duplicate cache geometry"),
             std::string::npos);
 
-  // paperCacheSweep varies the set count, which the stack engine cannot
-  // serve from one pass per set.
-  Spec.Caches = paperCacheSweep();
-  Spec.Base.CacheEngine = CacheEngineKind::StackDist;
-  ResultStore Stack = runMatrix(Spec, {});
-  EXPECT_FALSE(Stack.at(0, 0, 0).Ok);
-  EXPECT_NE(Stack.at(0, 0, 0).Error.find("engine=stackdist"),
-            std::string::npos);
-
-  // The same family is fine under the per-config engine.
-  Spec.Base.CacheEngine = CacheEngineKind::PerConfig;
-  ResultStore PerCfg = runMatrix(Spec, {});
-  EXPECT_TRUE(PerCfg.at(0, 0, 0).Ok) << PerCfg.at(0, 0, 0).Error;
+  // Mixed shapes have no one-pass kernel and fall back to per-config
+  // simulation rather than failing.
+  Spec.Caches = {{16 * 1024, 32, 1}, {64 * 1024, 32, 2}};
+  ResultStore Mixed = runMatrix(Spec, {});
+  EXPECT_TRUE(Mixed.at(0, 0, 0).Ok) << Mixed.at(0, 0, 0).Error;
 }

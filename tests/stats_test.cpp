@@ -112,7 +112,7 @@ TEST(TelemetryHistogramTest, RecordTracksCountSumMinMax) {
 }
 
 TEST(TelemetryHistogramTest, BulkRecordEqualsRepeatedScalarRecord) {
-  // The stack-distance engine flushes whole distance histograms at once via
+  // Probes holding (value, count) pairs flush them at once via
   // record(Value, Times); the result must be indistinguishable from Times
   // scalar record(Value) calls.
   TelemetryHistogram Bulk, Scalar;

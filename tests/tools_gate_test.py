@@ -52,8 +52,8 @@ def perf_report(*configs):
 def engines_config(name, speedup, **overrides):
     config = {
         "name": name,
-        "percfg_refs_per_sec": 1e6,
-        "stackdist_refs_per_sec": speedup * 1e6,
+        "bank_refs_per_sec": 1e6,
+        "auto_refs_per_sec": speedup * 1e6,
         "speedup": speedup,
     }
     config.update(overrides)
@@ -61,7 +61,7 @@ def engines_config(name, speedup, **overrides):
 
 
 def engines_report(*configs):
-    return {"schema": "allocsim-bench-engines-v1", "configs": list(configs)}
+    return {"schema": "allocsim-bench-engines-v2", "configs": list(configs)}
 
 
 class GateTestCase(unittest.TestCase):
@@ -232,11 +232,11 @@ class CheckPerfBaselineTest(GateTestCase):
         self.assertEqual(code, 2, out)
 
     def test_engines_schema_gates_like_pipeline(self):
-        base = self.write("base.json", engines_report(engines_config("fig678", 6.0)))
-        good = self.write("good.json", engines_report(engines_config("fig678", 5.5)))
+        base = self.write("base.json", engines_report(engines_config("paperdm", 6.0)))
+        good = self.write("good.json", engines_report(engines_config("paperdm", 5.5)))
         code, out = run_gate(PERF_GATE, base, good)
         self.assertEqual(code, 0, out)
-        bad = self.write("bad.json", engines_report(engines_config("fig678", 3.0)))
+        bad = self.write("bad.json", engines_report(engines_config("paperdm", 3.0)))
         code, out = run_gate(PERF_GATE, base, bad)
         self.assertEqual(code, 1, out)
         self.assertIn("REGRESSED", out)
@@ -265,7 +265,7 @@ class CheckPerfBaselineTest(GateTestCase):
         self.assertEqual(code, 2, out)
 
     def test_min_speedup_is_an_absolute_floor(self):
-        # min_speedup pins a claim ("stackdist is >= 5x on this sweep")
+        # min_speedup pins a claim ("one pass is >= 5x on this sweep")
         # that the 30% tolerance would otherwise erode: baseline 8.0 with
         # tolerance floor 5.6 vs min_speedup 5.0 -> the tighter of the two
         # gates (5.6 here); with a baseline of 6.0 the tolerance floor 4.2

@@ -142,6 +142,25 @@ TEST(PageSimTest, PageGranularityFromAddresses) {
   EXPECT_EQ(Sim.distinctPages(), 2u);
 }
 
+TEST(PageSimTest, ReferencePastFourGiBTouchesBothPages) {
+  // The last byte lies beyond the 32-bit space: the reference covers the
+  // top page and the one after it, on the scalar and the batched path.
+  const MemAccess Wrap{0xFFFFFFFEu, 8, AccessKind::Read,
+                       AccessSource::Application};
+  PageSim Scalar;
+  Scalar.access(Wrap);
+  EXPECT_EQ(Scalar.references(), 2u);
+  EXPECT_EQ(Scalar.distinctPages(), 2u);
+
+  PageSim Batched;
+  const MemAccess Batch[] = {{0xFFFFF000u, 4, AccessKind::Read,
+                              AccessSource::Application},
+                             Wrap};
+  Batched.accessBatch(Batch, 2);
+  EXPECT_EQ(Batched.references(), 3u);
+  EXPECT_EQ(Batched.distinctPages(), 2u);
+}
+
 TEST(PageSimTest, ZeroDistanceFastPathCountsCorrectly) {
   PageSim Sim;
   // Ten consecutive touches of one page, then one of another, then back.

@@ -109,11 +109,6 @@ int main(int Argc, char **Argv) {
               "reference delivery to the simulators: batched (default) or "
               "scalar; results are bit-identical, scalar exists for "
               "equivalence checks and as the throughput baseline");
-  Cli.addFlag("engine", "percfg",
-              "cache sweep engine: percfg (default; one simulator per "
-              "config) or stackdist (one stack-distance pass over a family "
-              "sharing block size and set count); results are bit-identical "
-              "where both apply");
   Cli.addFlag("telemetry", "off",
               "telemetry probes: off (default; zero overhead, bit-identical "
               "results), summary (counters) or full (counters + histograms)");
@@ -207,12 +202,6 @@ int main(int Argc, char **Argv) {
   else
     return usageError("bad --delivery '" + Cli.getString("delivery") +
                       "' (expected batched or scalar)");
-  if (std::optional<CacheEngineKind> Engine =
-          tryParseCacheEngine(Cli.getString("engine")))
-    Spec.Base.CacheEngine = *Engine;
-  else
-    return usageError("bad --engine '" + Cli.getString("engine") +
-                      "' (expected percfg or stackdist)");
   if (!tryParseTelemetryLevel(Cli.getString("telemetry"),
                               Spec.Base.Telemetry))
     return usageError("bad --telemetry '" + Cli.getString("telemetry") +

@@ -13,8 +13,9 @@ Two report schemas are understood, both shaped as {"schema": ...,
 
   * allocsim-bench-pipeline-v1 (bench_pipeline_throughput): speedup is
     batched over scalar delivery;
-  * allocsim-bench-engines-v1 (bench_cache_engines): speedup is the
-    stack-distance engine over per-config simulation.
+  * allocsim-bench-engines-v2 (bench_cache_engines): speedup is the
+    automatically chosen cache engine over per-config CacheBank
+    simulation.
 
 The comparison is on the *speedup ratios*, measured on the same machine
 within the same run, which is hardware-independent: CI boxes are slower
@@ -23,8 +24,8 @@ modes should hold anywhere. Absolute refs/sec are never compared. A config
 regresses when its current speedup falls below the baseline speedup by more
 than the tolerance (default 30%). A baseline config may additionally carry
 a "min_speedup" key: an absolute floor the current speedup must meet
-regardless of tolerance (this is how the >= 5x stack-engine claim on the
-multi-config sweeps is pinned).
+regardless of tolerance (this is how the one-pass engine's claims on the
+multi-config sweeps are pinned).
 
 Exit status: 0 = pass; 1 = regression, or a malformed/missing *current*
 report (the thing being tested); 2 = bad usage, or a malformed/missing
@@ -48,9 +49,9 @@ SCHEMAS = {
         "scalar_refs_per_sec",
         "batched_refs_per_sec",
     ),
-    "allocsim-bench-engines-v1": (
-        "percfg_refs_per_sec",
-        "stackdist_refs_per_sec",
+    "allocsim-bench-engines-v2": (
+        "bank_refs_per_sec",
+        "auto_refs_per_sec",
     ),
 }
 
