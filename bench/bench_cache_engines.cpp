@@ -57,7 +57,6 @@ namespace {
 /// Records the full reference stream for later replay.
 class StreamRecorder final : public AccessSink {
 public:
-  void access(const MemAccess &Acc) override { Stream.push_back(Acc); }
   void accessBatch(const MemAccess *Batch, size_t Count) override {
     Stream.insert(Stream.end(), Batch, Batch + Count);
   }
@@ -85,7 +84,6 @@ struct Measurement {
 /// replay exactly these records.
 std::vector<MemAccess> captureStream(const BenchOptions &Options) {
   MemoryBus Bus;
-  Bus.setBatchCapacity(AccessBatch::MaxCapacity);
   StreamRecorder Recorder;
   Bus.attach(&Recorder);
 

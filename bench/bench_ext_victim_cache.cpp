@@ -40,7 +40,6 @@ int main(int Argc, char **Argv) {
   for (AllocatorKind Kind : PaperAllocators) {
     // One execution observed by the plain cache and all buffer variants.
     MemoryBus Bus;
-    Bus.setBatchCapacity(AccessBatch::MaxCapacity);
     CacheConfig MainArray{CacheKb * 1024, 32, 1};
     DirectMappedCache Plain(MainArray);
     Bus.attach(&Plain);

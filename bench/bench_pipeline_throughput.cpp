@@ -4,8 +4,9 @@
 //
 // Measures end-to-end reference-pipeline throughput (refs/sec: workload
 // synthesis + allocator simulation + sink delivery, the whole experiment
-// hot path) under scalar and batched delivery, for the sink configurations
-// the paper's studies actually run:
+// hot path) under scalar delivery (a capacity-1 bus) and the default
+// batched bus, for the sink configurations the paper's studies actually
+// run:
 //
 //   multicache    the Figure 6-8 sweep: every paper cache geometry at once
 //   cache+paging  one 16K cache plus the page-fault simulator (Fig 4/5 +
@@ -84,8 +85,8 @@ std::pair<uint64_t, double> runOnce(const PipelineConfig &Config,
                                     bool Batched,
                                     const BenchOptions &Options) {
   MemoryBus Bus;
-  if (Batched)
-    Bus.setBatchCapacity(AccessBatch::MaxCapacity);
+  if (!Batched)
+    Bus.setBatchCapacity(1);
 
   CacheBank Caches;
   if (Config.MultiCache)

@@ -66,7 +66,6 @@ struct Headline {
 Headline runOne(const AppProfile &Profile, AllocatorKind Kind,
                 uint32_t Scale) {
   MemoryBus Bus;
-  Bus.setBatchCapacity(AccessBatch::MaxCapacity);
   DirectMappedCache Cache({64 * 1024, 32, 1});
   Bus.attach(&Cache);
   SimHeap Heap(Bus);

@@ -49,7 +49,6 @@ int main(int Argc, char **Argv) {
     BinaryTraceWriter Writer(TraceFile);
 
     MemoryBus Bus;
-    Bus.setBatchCapacity(AccessBatch::MaxCapacity);
     Bus.attach(&Writer);
     SimHeap Heap(Bus);
     CostModel Cost;

@@ -100,17 +100,11 @@ void allocsim::lintMatrixSpec(const std::string &Text, DiagEngine &Diags) {
                     {1, static_cast<uint32_t>(ValueOffset + 1)},
                     "bad telemetry level '" + Axis.Value +
                         "' (expected off, summary or full)");
-    } else if (Axis.Key == "delivery") {
-      if (Axis.Value != "batched" && Axis.Value != "scalar")
-        Diags.error("spec-bad-value",
-                    {1, static_cast<uint32_t>(ValueOffset + 1)},
-                    "bad delivery mode '" + Axis.Value +
-                        "' (expected batched or scalar)");
     } else {
       Diags.error("spec-unknown-axis", AxisLoc,
                   "unknown axis '" + Axis.Key +
                       "' (expected workloads/allocators/caches/paging/"
-                      "penalty/telemetry/delivery)");
+                      "penalty/telemetry)");
     }
   }
 

@@ -22,7 +22,7 @@
 ///   spec-unknown-allocator E name tryParseAllocatorKind rejects
 ///   spec-bad-cache        E  cache geometry parseCacheSpec rejects
 ///   spec-bad-number       E  bad paging/penalty entry
-///   spec-bad-value        E  bad telemetry/delivery value
+///   spec-bad-value        E  bad telemetry value
 ///   spec-duplicate-value  W  workload/allocator listed twice (the matrix
 ///                            would run duplicate cells)
 ///   spec-missing-workloads E required 'workloads' axis absent or unusable

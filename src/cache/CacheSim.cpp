@@ -49,20 +49,27 @@ CacheSim::CacheSim(const CacheConfig &SimConfig) : Config(SimConfig) {
   BlockShift = log2Exact(Config.BlockBytes);
 }
 
-void CacheSim::access(const MemAccess &Acc) {
-  // An access straddling a block boundary counts once per block touched,
-  // like a trace with one entry per word.
-  const FrameRange Frames = frameRange(Acc, BlockShift);
-  for (uint64_t Frame = Frames.First; Frame <= Frames.Last; ++Frame) {
-    ++Stats.Accesses;
-    ++Stats.AccessesBySource[static_cast<unsigned>(Acc.Source)];
-    if (!probe(Frame)) {
-      ++Stats.Misses;
-      ++Stats.MissesBySource[static_cast<unsigned>(Acc.Source)];
+void ProbedCache::accessBatch(const MemAccess *Batch, size_t Count) {
+  const uint32_t SetMask = Config.numSets() - 1;
+  uint64_t Accesses = 0, Misses = 0;
+  uint64_t AccBySource[NumAccessSources] = {};
+  uint64_t MissBySource[NumAccessSources] = {};
+  for (size_t I = 0; I != Count; ++I) {
+    const MemAccess &Acc = Batch[I];
+    const unsigned Source = static_cast<unsigned>(Acc.Source);
+    const FrameRange Frames = frameRange(Acc, BlockShift);
+    for (uint64_t Frame = Frames.First; Frame <= Frames.Last; ++Frame) {
+      ++Accesses;
+      ++AccBySource[Source];
+      if (probe(Frame))
+        continue;
+      ++Misses;
+      ++MissBySource[Source];
       if (!SetMisses.empty())
-        ++SetMisses[setIndexOf(Frame)];
+        ++SetMisses[static_cast<uint32_t>(Frame) & SetMask];
     }
   }
+  foldBatchStats(Accesses, Misses, AccBySource, MissBySource);
 }
 
 void CacheSim::foldBatchStats(uint64_t Accesses, uint64_t Misses,
@@ -91,8 +98,7 @@ void DirectMappedCache::reset() {
 void DirectMappedCache::accessBatch(const MemAccess *Batch, size_t Count) {
   // Hoist everything loop-invariant: the tag array, index mask and block
   // shift live in registers for the whole batch, and statistics accumulate
-  // into locals folded back once. Same frame split and same tag update as
-  // the scalar access()/probe() pair, so the counts are bit-identical.
+  // into locals folded back once. Same frame split as ProbedCache.
   uint64_t *TagArray = Tags.data();
   const uint32_t Mask = IndexMask;
   const uint32_t Shift = BlockShift;
@@ -122,17 +128,8 @@ void DirectMappedCache::accessBatch(const MemAccess *Batch, size_t Count) {
   foldBatchStats(Accesses, Misses, AccBySource, MissBySource);
 }
 
-bool DirectMappedCache::probe(uint64_t BlockFrame) {
-  uint32_t Set = static_cast<uint32_t>(BlockFrame) & IndexMask;
-  uint64_t TagPlusOne = BlockFrame + 1;
-  if (Tags[Set] == TagPlusOne)
-    return true;
-  Tags[Set] = TagPlusOne;
-  return false;
-}
-
 SetAssocCache::SetAssocCache(const CacheConfig &SimConfig)
-    : CacheSim(SimConfig), NumSets(SimConfig.numSets()),
+    : ProbedCache(SimConfig), NumSets(SimConfig.numSets()),
       Ways(static_cast<size_t>(SimConfig.numSets()) * SimConfig.Assoc, 0) {}
 
 void SetAssocCache::reset() {
@@ -163,7 +160,7 @@ bool SetAssocCache::probe(uint64_t BlockFrame) {
 
 VictimCache::VictimCache(const CacheConfig &SimConfig,
                          uint32_t VictimEntries)
-    : CacheSim(SimConfig), IndexMask(SimConfig.numSets() - 1),
+    : ProbedCache(SimConfig), IndexMask(SimConfig.numSets() - 1),
       Tags(SimConfig.numSets(), 0), Victims(VictimEntries, 0) {
   if (SimConfig.Assoc != 1)
     reportFatalError("victim cache requires a direct-mapped main array");
@@ -223,11 +220,6 @@ size_t CacheBank::addCache(const CacheConfig &SimConfig) {
   else
     Caches.push_back(std::make_unique<SetAssocCache>(SimConfig));
   return Caches.size() - 1;
-}
-
-void CacheBank::access(const MemAccess &Acc) {
-  for (auto &Cache : Caches)
-    Cache->access(Acc);
 }
 
 void CacheBank::accessBatch(const MemAccess *Batch, size_t Count) {

@@ -94,10 +94,6 @@ public:
   /// Empties the cache and zeroes statistics.
   virtual void reset() = 0;
 
-  /// Splits an access into the block frames it covers and calls probe() for
-  /// each; updates statistics.
-  void access(const MemAccess &Access) final;
-
   /// Enables the per-set miss profile (telemetry full level): misses are
   /// additionally counted per cache set, exposing the conflict structure
   /// behind the aggregate miss rate. Costs one counter array of numSets()
@@ -114,12 +110,6 @@ protected:
                       const uint64_t AccessesBySource[NumAccessSources],
                       const uint64_t MissesBySource[NumAccessSources]);
 
-  /// Returns true on hit; updates replacement state.
-  virtual bool probe(uint64_t BlockFrame) = 0;
-
-  /// Set index a frame maps to (for the per-set miss profile).
-  virtual uint32_t setIndexOf(uint64_t BlockFrame) const = 0;
-
   CacheConfig Config;
   CacheStats Stats;
   uint32_t BlockShift = 0;
@@ -134,26 +124,35 @@ public:
 
   void reset() override;
 
-  /// Batch fast path: one pass over the records with the block shift, index
-  /// mask and tag array hoisted out of the loop and probe() inlined —
-  /// bit-identical to the scalar path by construction (the equivalence
-  /// suite enforces it).
+  /// One pass over the records with the block shift, index mask and tag
+  /// array hoisted out of the loop. Tests hold it against a one-way
+  /// SetAssocCache, an independent probe implementation.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
 private:
-  bool probe(uint64_t BlockFrame) override;
-  uint32_t setIndexOf(uint64_t BlockFrame) const override {
-    return static_cast<uint32_t>(BlockFrame) & IndexMask;
-  }
-
   uint32_t IndexMask;
   /// Tag-plus-one per set; 0 means invalid.
   std::vector<uint64_t> Tags;
 };
 
+/// A cache simulated one block frame at a time. Its accessBatch is the
+/// frame loop SetAssocCache and VictimCache share: it calls probe() for
+/// every block frame a record covers (an access straddling a block boundary
+/// counts once per block touched, like a trace with one entry per word).
+class ProbedCache : public CacheSim {
+public:
+  using CacheSim::CacheSim;
+
+  void accessBatch(const MemAccess *Batch, size_t Count) final;
+
+protected:
+  /// Returns true on hit; updates replacement state.
+  virtual bool probe(uint64_t BlockFrame) = 0;
+};
+
 /// N-way set-associative cache with true-LRU replacement (extension beyond
 /// the paper's direct-mapped study).
-class SetAssocCache final : public CacheSim {
+class SetAssocCache final : public ProbedCache {
 public:
   explicit SetAssocCache(const CacheConfig &Config);
 
@@ -161,9 +160,6 @@ public:
 
 private:
   bool probe(uint64_t BlockFrame) override;
-  uint32_t setIndexOf(uint64_t BlockFrame) const override {
-    return static_cast<uint32_t>(BlockFrame % NumSets);
-  }
 
   uint32_t NumSets;
   /// Ways for each set, most-recently-used first; 0 means invalid.
@@ -177,7 +173,7 @@ private:
 /// the two blocks and counts as a hit. Extension beyond the paper's
 /// direct-mapped study: it shows how much of each allocator's miss rate is
 /// conflict structure a tiny buffer can absorb.
-class VictimCache final : public CacheSim {
+class VictimCache final : public ProbedCache {
 public:
   /// \p Config must be direct-mapped; \p VictimEntries is the buffer size
   /// in blocks (Jouppi studied 1-15).
@@ -189,10 +185,8 @@ public:
   uint64_t victimHits() const { return VictimHits; }
 
 private:
+  /// A victim-buffer hit counts as a hit.
   bool probe(uint64_t BlockFrame) override;
-  uint32_t setIndexOf(uint64_t BlockFrame) const override {
-    return static_cast<uint32_t>(BlockFrame) & IndexMask;
-  }
 
   uint32_t IndexMask;
   /// Tag-plus-one per set; 0 means invalid.
@@ -211,8 +205,6 @@ public:
   /// callers building banks from user input must dedupe (or diagnose)
   /// first.
   size_t addCache(const CacheConfig &Config);
-
-  void access(const MemAccess &Access) override;
 
   /// Delivers the whole batch to each cache in turn (rather than each
   /// access to every cache), so one cache's tag array stays hot for

@@ -95,8 +95,6 @@ CacheStats StackSim::statsFor(size_t Index) const {
   return Stats;
 }
 
-void StackSim::access(const MemAccess &Acc) { accessBatch(&Acc, 1); }
-
 void StackSim::accessBatch(const MemAccess *Batch, size_t Count) {
   if (Kernel == OnePassKernel::Ladder)
     ladderBatch(Batch, Count);
@@ -228,13 +226,6 @@ CacheSweep::CacheSweep(const std::vector<CacheConfig> &SweepFamily)
 
 CacheStats CacheSweep::statsFor(size_t Index) const {
   return OnePass ? OnePass->statsFor(Index) : Bank.cache(Index).stats();
-}
-
-void CacheSweep::access(const MemAccess &Acc) {
-  if (OnePass)
-    OnePass->access(Acc);
-  else
-    Bank.access(Acc);
 }
 
 void CacheSweep::accessBatch(const MemAccess *Batch, size_t Count) {

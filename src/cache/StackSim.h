@@ -90,9 +90,6 @@ public:
   /// Derives the member's hit/miss counters from the level histogram.
   CacheStats statsFor(size_t Index) const;
 
-  /// Delivers one record through the batch loop.
-  void access(const MemAccess &Access) override;
-
   /// The kernel loop, with its tag storage, masks and block shift hoisted
   /// out of the record loop.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
@@ -169,7 +166,6 @@ public:
   const CacheConfig &config(size_t Index) const { return Family[Index]; }
   CacheStats statsFor(size_t Index) const;
 
-  void access(const MemAccess &Access) override;
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
   /// Enables every member's per-set miss profile.

@@ -44,8 +44,8 @@ HeapCheck::HeapCheck(const CheckPolicy &CheckedPolicy, SimHeap &CheckedHeap,
   assert(Policy.Level != CheckLevel::Off &&
          "HeapCheck constructed with checking disabled");
   Bus.attach(&Shadow);
-  // Under batched delivery the shadow drains the bus before every state
-  // transition, which keeps its verdicts identical to scalar delivery (see
+  // The shadow drains the bus before every state transition, which keeps
+  // its verdicts independent of the batch capacity (see
   // ShadowHeap::setFlushBus).
   Shadow.setFlushBus(&Bus);
 }

@@ -83,27 +83,32 @@ void ShadowHeap::reportViolation(ViolationKind Kind, std::string AllocName,
   Log.report(std::move(V));
 }
 
-void ShadowHeap::access(const MemAccess &Access) {
-  // Other segments (stack/static) are outside the allocators' domain.
-  if (Access.Address < Heap.base())
-    return;
+void ShadowHeap::accessBatch(const MemAccess *Batch, size_t Count) {
+  for (size_t Record = 0; Record != Count; ++Record) {
+    const MemAccess &Access = Batch[Record];
+    // Other segments (stack/static) are outside the allocators' domain.
+    if (Access.Address < Heap.base())
+      continue;
 
-  uint32_t Span = syncToBreak();
-  uint64_t Offset = uint64_t(Access.Address) - Heap.base();
-  if (Offset + Access.Size > Span) {
-    reportViolation(ViolationKind::OutOfSegment, BusAllocName,
-                    Access.Address, Access.Source,
-                    "reference past the segment break " +
-                        hexAddr(Heap.brk()));
-    return;
-  }
+    uint32_t Span = syncToBreak();
+    uint64_t Offset = uint64_t(Access.Address) - Heap.base();
+    if (Offset + Access.Size > Span) {
+      reportViolation(ViolationKind::OutOfSegment, BusAllocName,
+                      Access.Address, Access.Source,
+                      "reference past the segment break " +
+                          hexAddr(Heap.brk()));
+      continue;
+    }
 
-  if (Access.Source == AccessSource::Application) {
-    // The application may touch only its own live objects.
-    for (uint32_t I = 0; I != Access.Size; ++I) {
-      ByteState State = States[Offset + I];
-      if (State == ByteState::UserLive)
+    if (Access.Source == AccessSource::Application) {
+      // The application may touch only its own live objects; the first
+      // byte that is not live is reported.
+      uint32_t I = 0;
+      while (I != Access.Size && States[Offset + I] == ByteState::UserLive)
+        ++I;
+      if (I == Access.Size)
         continue;
+      ByteState State = States[Offset + I];
       ViolationKind Kind = State == ByteState::UserFreed
                                ? ViolationKind::UseAfterFree
                                : State == ByteState::Metadata
@@ -114,15 +119,14 @@ void ShadowHeap::access(const MemAccess &Access) {
                           (Access.Kind == AccessKind::Write ? "write"
                                                             : "read") +
                           " of " + byteStateName(State) + " byte");
-      return;
+      continue;
     }
-    return;
-  }
 
-  // Allocator (and tag-emulation) stores create metadata; storing into a
-  // live object is corruption. Reads are unconstrained: allocators
-  // legitimately read fresh sbrk storage and their own bookkeeping.
-  if (Access.Kind == AccessKind::Write) {
+    // Allocator (and tag-emulation) stores create metadata; storing into a
+    // live object is corruption. Reads are unconstrained: allocators
+    // legitimately read fresh sbrk storage and their own bookkeeping.
+    if (Access.Kind != AccessKind::Write)
+      continue;
     for (uint32_t I = 0; I != Access.Size; ++I) {
       if (States[Offset + I] == ByteState::UserLive) {
         reportViolation(ViolationKind::MetadataUserOverlap, BusAllocName,

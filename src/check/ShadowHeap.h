@@ -57,9 +57,9 @@ class ShadowHeap final : public AccessSink, public HeapStateObserver {
 public:
   ShadowHeap(const SimHeap &Heap, ViolationLog &Log);
 
-  /// AccessSink: validates one bus reference, then folds it into the
-  /// mirror (allocator writes become Metadata).
-  void access(const MemAccess &Access) override;
+  /// AccessSink: validates each bus reference in order, folding it into
+  /// the mirror (allocator writes become Metadata).
+  void accessBatch(const MemAccess *Batch, size_t Count) override;
 
   /// HeapStateObserver hooks (see HeapStateObserver.h). Ranges are rounded
   /// up to whole words: every allocator hands out word-aligned storage and
@@ -89,8 +89,8 @@ public:
   /// verdict on a reference depends only on the interleaving of references
   /// and state transitions (the note* hooks); flushing the bus at the top
   /// of every hook delivers all staged references under the *pre-transition*
-  /// state — exactly where the scalar bus delivered them — so batched
-  /// delivery is violation-for-violation identical to scalar delivery.
+  /// state — exactly where a capacity-1 bus delivers them — so the verdicts
+  /// do not depend on the batch capacity.
   /// (HeapCheck wires this automatically; null disables draining.)
   void setFlushBus(MemoryBus *Bus) { FlushBus = Bus; }
 
@@ -122,7 +122,7 @@ private:
   std::string BusAllocName = "?";
   uint64_t OpIndex = 0;
   /// Drained before every state transition; null when the shadow is used
-  /// standalone (tests) or the bus delivers scalar anyway.
+  /// standalone (tests).
   MemoryBus *FlushBus = nullptr;
 };
 

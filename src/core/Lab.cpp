@@ -58,8 +58,6 @@ RunResult runWithDriver(const ExperimentConfig &Config, double InstrPerRef,
     Telem = std::make_unique<Telemetry>(Config.Telemetry);
 
   MemoryBus Bus;
-  if (Config.BatchedDelivery)
-    Bus.setBatchCapacity(AccessBatch::MaxCapacity);
 
   // The cache layer picks its engine from the family's shape: the
   // one-pass StackSim kernels where they apply, one CacheSim per geometry

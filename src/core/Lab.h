@@ -102,14 +102,6 @@ struct ExperimentConfig {
   /// counters; Full adds histograms (search lengths, per-set cache
   /// conflicts, page-run lengths, per-op instruction costs).
   TelemetryLevel Telemetry = TelemetryLevel::Off;
-
-  /// Deliver the reference stream to the sinks in batches of
-  /// AccessBatch::MaxCapacity (the measurement default) instead of one
-  /// record at a time. Every result is bit-identical either way —
-  /// tests/pipeline_equivalence_test.cpp holds both paths to that — so this
-  /// knob exists for the equivalence suite and the throughput benchmark,
-  /// not for correctness tuning.
-  bool BatchedDelivery = true;
 };
 
 /// Miss statistics and derived time estimate for one cache geometry.

@@ -470,10 +470,8 @@ CellOutcome runCell(const MatrixCell &Cell, const MatrixOptions &Options) {
     }
     TelemetrySnapshot Partial;
     try {
-      Outcome.Result = Options.CellRunnerEx
-                           ? Options.CellRunnerEx(Cell.Config, Partial)
-                       : Options.CellRunner
-                           ? Options.CellRunner(Cell.Config)
+      Outcome.Result = Options.CellRunner
+                           ? Options.CellRunner(Cell.Config, Partial)
                            : runExperiment(Cell.Config, &Partial);
       Outcome.Ok = true;
       return Outcome;
@@ -671,21 +669,10 @@ bool allocsim::parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,
                 "' (expected off, summary or full)";
         return false;
       }
-    } else if (Key == "delivery") {
-      if (Value == "batched")
-        Spec.Base.BatchedDelivery = true;
-      else if (Value == "scalar")
-        Spec.Base.BatchedDelivery = false;
-      else {
-        Error = "bad matrix value 'delivery=" + Value +
-                "' (expected batched or scalar; results are bit-identical, "
-                "scalar exists for equivalence checks)";
-        return false;
-      }
     } else {
       Error = "unknown matrix axis '" + Key +
               "' (expected workloads/allocators/caches/paging/penalty/"
-              "telemetry/delivery)";
+              "telemetry)";
       return false;
     }
   }

@@ -191,13 +191,11 @@ struct MatrixOptions {
   /// Invoked (serialized under the runner's lock) after every cell.
   std::function<void(const MatrixProgress &)> Progress;
   /// Cell execution seam; defaults to runExperiment. Tests inject throwing
-  /// runners to exercise the failure policy.
-  std::function<RunResult(const ExperimentConfig &)> CellRunner;
-  /// Like CellRunner, but the runner may fill the snapshot with partial
-  /// telemetry before throwing (the default runExperiment path does).
-  /// Takes precedence over CellRunner when both are set.
+  /// runners to exercise the failure policy. A runner that throws may first
+  /// fill the snapshot with the telemetry it accumulated, which feeds the
+  /// cell's quarantine record (the default runExperiment path does).
   std::function<RunResult(const ExperimentConfig &, TelemetrySnapshot &)>
-      CellRunnerEx;
+      CellRunner;
 };
 
 /// Executes every cell of \p Spec and returns the populated store.
@@ -220,10 +218,9 @@ bool parseCacheList(const std::string &Text, std::vector<CacheConfig> &Out,
 ///
 /// Axes are ';'-separated key=value pairs; workloads and allocators are
 /// required, caches/paging default to empty, penalty defaults to {25}.
-/// The scalar keys telemetry=off|summary|full and delivery=batched|scalar
-/// set the corresponding Spec.Base fields. Workload
-/// engine options (scale/seed/...) stay in Spec.Base and are not part of
-/// the axis string. Returns false with a diagnostic on malformed input.
+/// The scalar key telemetry=off|summary|full sets Spec.Base.Telemetry.
+/// Workload engine options (scale/seed/...) stay in Spec.Base and are not
+/// part of the axis string. Returns false with a diagnostic on malformed input.
 bool parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,
                      std::string &Error);
 

@@ -14,9 +14,9 @@
 ///
 /// The batch is a fixed-capacity ring: flush() always drains it completely,
 /// so the write cursor simply wraps to the start after every delivery. The
-/// *effective* capacity is tunable at runtime between 1 (scalar delivery,
-/// bit-compatible with the pre-batching bus and the reference for the
-/// equivalence tests) and MaxCapacity (the measurement default).
+/// *effective* capacity is tunable at runtime between 1 (one record per
+/// delivery, the reference for the differential tests) and MaxCapacity
+/// (the bus default).
 ///
 //===----------------------------------------------------------------------===//
 

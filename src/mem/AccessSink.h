@@ -26,19 +26,15 @@ class AccessSink {
 public:
   virtual ~AccessSink();
 
-  /// Consumes one reference.
-  virtual void access(const MemAccess &Access) = 0;
+  /// Consumes \p Count references, in stream order. This is the one entry
+  /// point every sink implements: the MemoryBus hands each staged batch to
+  /// every attached sink through it, and trace replays deliver in batches
+  /// too.
+  virtual void accessBatch(const MemAccess *Batch, size_t Count) = 0;
 
-  /// Consumes \p Count references at once. The records are in stream order
-  /// and the default simply loops over access(), so overriding is purely a
-  /// throughput optimization: hot sinks (cache banks, the page simulator,
-  /// trace writers) provide tight batch loops with per-batch-hoisted state,
-  /// and the equivalence suite proves every override bit-identical to the
-  /// scalar path.
-  virtual void accessBatch(const MemAccess *Batch, size_t Count) {
-    for (size_t I = 0; I != Count; ++I)
-      access(Batch[I]);
-  }
+  /// Consumes one reference as a batch of one. A convenience for tests and
+  /// wrappers; sinks do not override it with a second path.
+  virtual void access(const MemAccess &Access) { accessBatch(&Access, 1); }
 };
 
 } // namespace allocsim

@@ -14,12 +14,9 @@
 /// AccessBatch and handed to the sinks through AccessSink::accessBatch when
 /// the batch fills or flush() is called. Counters update at *emit* time, so
 /// totalAccesses() et al. are exact at any moment; sink-side statistics
-/// become current at the next flush. The default batch capacity is 1 —
-/// delivery then happens on every emit, matching the historical scalar bus —
-/// and the experiment drivers raise it to AccessBatch::MaxCapacity via
-/// setBatchCapacity() for measurement runs (see DESIGN.md §10 for the
-/// flush-point contract that keeps HeapCheck observers exact under
-/// batching).
+/// become current at the next flush. The batch capacity starts at
+/// AccessBatch::MaxCapacity (see DESIGN.md §10 for the flush-point contract
+/// that keeps HeapCheck observers exact under batching).
 ///
 /// attach() and detach() are legal at any time, including from inside a
 /// sink's accessBatch during a flush: a sink attached mid-flush starts
@@ -57,8 +54,6 @@ public:
   /// it; callers that need them call flush() first.
   void detach(AccessSink *Sink);
 
-  void access(const MemAccess &Access) override { emit(Access); }
-
   /// Bulk replay entry (trace readers): counts and stages every record.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
@@ -84,10 +79,10 @@ public:
   void flush();
 
   /// Sets the effective batch capacity, clamped to
-  /// [1, AccessBatch::MaxCapacity]. 1 selects scalar delivery (one
-  /// accessBatch of size 1 per emit — the reference semantics); larger
-  /// values enable true batching. Pending references are flushed first so
-  /// the change never reorders the stream.
+  /// [1, AccessBatch::MaxCapacity]. 1 delivers every emit on its own (one
+  /// accessBatch of size 1), the reference the differential tests and the
+  /// perf harness compare batching against. Pending references are flushed
+  /// first so the change never reorders the stream.
   void setBatchCapacity(size_t NewCapacity);
   size_t batchCapacity() const { return Capacity; }
 
@@ -119,7 +114,7 @@ private:
   /// Sinks attached during a flush, adopted when it completes.
   std::vector<AccessSink *> PendingAttach;
   AccessBatch Batch;
-  size_t Capacity = 1;
+  size_t Capacity = AccessBatch::MaxCapacity;
   bool Flushing = false;
   bool SinksDirty = false;
 

@@ -39,13 +39,6 @@ BinaryTraceWriter::BinaryTraceWriter(std::ostream &Stream) : OS(Stream) {
   OS.write(BinaryMagic, sizeof(BinaryMagic));
 }
 
-void BinaryTraceWriter::access(const MemAccess &Access) {
-  unsigned char Record[BinaryRecordBytes];
-  encodeBinaryRecord(Access, Record);
-  OS.write(reinterpret_cast<const char *>(Record), sizeof(Record));
-  ++Count;
-}
-
 void BinaryTraceWriter::accessBatch(const MemAccess *Batch, size_t N) {
   unsigned char Buffer[AccessBatch::MaxCapacity * BinaryRecordBytes];
   while (N != 0) {
@@ -90,13 +83,6 @@ bool BinaryTraceReader::next(MemAccess &Access) {
   return true;
 }
 
-void TextTraceWriter::access(const MemAccess &Access) {
-  char Line[48];
-  std::snprintf(Line, sizeof(Line), "%c %08x %u %s\n", kindChar(Access.Kind),
-                Access.Address, Access.Size, accessSourceName(Access.Source));
-  OS << Line;
-}
-
 void TextTraceWriter::accessBatch(const MemAccess *Batch, size_t N) {
   std::string Buffer;
   Buffer.reserve(N * 20);
@@ -115,7 +101,8 @@ void TextTraceWriter::accessBatch(const MemAccess *Batch, size_t N) {
 bool TextTraceReader::next(MemAccess &Access) {
   std::string Kind, SourceName;
   uint64_t Address;
-  unsigned Size;
+  // Signed, so a negative size reads as negative instead of wrapping.
+  int64_t Size;
   if (!(IS >> Kind))
     return false;
   if (!(IS >> std::hex >> Address >> std::dec >> Size >> SourceName))
@@ -126,6 +113,11 @@ bool TextTraceReader::next(MemAccess &Access) {
     Access.Kind = AccessKind::Write;
   else
     reportFatalError("text trace: bad access kind '" + Kind + "'");
+  if (Address > 0xFFFFFFFFu)
+    reportFatalError("text trace: address above 0xffffffff");
+  if (Size < 0 || Size > 255)
+    reportFatalError("text trace: access size " + std::to_string(Size) +
+                     " outside 0..255");
   Access.Address = static_cast<Addr>(Address);
   Access.Size = static_cast<uint8_t>(Size);
   if (SourceName == "app")

@@ -32,8 +32,6 @@ namespace allocsim {
 /// tests and as a staging buffer for trace files.
 class CollectingSink final : public AccessSink {
 public:
-  void access(const MemAccess &Access) override { Records.push_back(Access); }
-
   void accessBatch(const MemAccess *Batch, size_t Count) override {
     Records.insert(Records.end(), Batch, Batch + Count);
   }
@@ -50,11 +48,8 @@ class BinaryTraceWriter final : public AccessSink {
 public:
   explicit BinaryTraceWriter(std::ostream &OS);
 
-  void access(const MemAccess &Access) override;
-
-  /// Encodes the whole batch into one stack buffer and issues a single
-  /// stream write — the same bytes the scalar path writes one record at a
-  /// time.
+  /// Encodes the batch into one stack buffer per AccessBatch::MaxCapacity
+  /// records and issues one stream write for each.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
   /// Number of records written.
@@ -82,8 +77,6 @@ private:
 class TextTraceWriter final : public AccessSink {
 public:
   explicit TextTraceWriter(std::ostream &Stream) : OS(Stream) {}
-
-  void access(const MemAccess &Access) override;
 
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 

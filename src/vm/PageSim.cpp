@@ -77,7 +77,7 @@ void PageSim::flushRunTelemetry() {
   CurrentRunLen = 0;
 }
 
-void PageSim::access(const MemAccess &Acc) {
+void PageSim::touchPages(const MemAccess &Acc) {
   // A multi-byte access that straddles a page boundary touches both pages;
   // with 4 KB pages and word accesses this is effectively never taken, but
   // correctness is cheap.
@@ -123,7 +123,7 @@ void PageSim::accessBatch(const MemAccess *Batch, size_t Count) {
     if (HaveRecent) {
       // Run-length skip: count records wholly inside the MRU page. Checking
       // First and Last against the same page also routes straddling
-      // accesses to the scalar path, where they split per page as always.
+      // accesses to touchPages, where they split per page as always.
       const uint64_t Recent = MostRecentPage;
       const uint32_t Shift = PageShift;
       const size_t RunStart = I;
@@ -137,14 +137,14 @@ void PageSim::accessBatch(const MemAccess *Batch, size_t Count) {
       const uint64_t Run = I - RunStart;
       References += Run;
       ZeroDistanceHits += Run;
-      // Same decision the scalar path makes per record: every record in the
+      // Same decision touchPages makes per record: every record in the
       // skipped run is one page-touch of the MRU page.
       if (RunLenHist && Run != 0)
         noteRunPage(Recent, Run);
       if (I == Count)
         return;
     }
-    access(Batch[I]);
+    touchPages(Batch[I]);
     ++I;
   }
 }

@@ -43,14 +43,11 @@ public:
   explicit PageSim(uint32_t PageBytes = 4096,
                    uint32_t SlotCapacity = 1u << 21);
 
-  void access(const MemAccess &Access) override;
-
-  /// Batch fast path: a run of consecutive records falling wholly inside
-  /// the most recently used page is a run of zero-stack-distance hits, so
-  /// the whole run collapses to two counter additions — no hash lookup, no
-  /// Fenwick work. Records that leave the page (or straddle one) fall back
-  /// to the scalar path one at a time. Bit-identical to scalar delivery:
-  /// the scalar fast path makes exactly the same per-record decision.
+  /// A run of consecutive records falling wholly inside the most recently
+  /// used page is a run of zero-stack-distance hits, so the whole run
+  /// collapses to two counter additions — no hash lookup, no Fenwick work.
+  /// Records that leave the page (or straddle one) take touchPages one at
+  /// a time.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
   /// Number of references processed.
@@ -83,17 +80,20 @@ public:
 
   /// Attaches (or detaches, with nullptr) a telemetry registry; at full
   /// level a "vm.page_run_len" histogram then records the length of every
-  /// maximal run of consecutive page-touches to one page. Runs are tracked
-  /// at the per-reference level in both the scalar and batched paths (and
-  /// persist across batch boundaries), so the histogram is delivery-mode
-  /// independent. Call flushRunTelemetry before reading the snapshot to
-  /// close the trailing run.
+  /// maximal run of consecutive page-touches to one page. Runs persist
+  /// across batch boundaries, so the histogram does not depend on how the
+  /// stream is chunked. Call flushRunTelemetry before reading the snapshot
+  /// to close the trailing run.
   void attachTelemetry(Telemetry *Registry);
 
   /// Records the still-open trailing run, if any.
   void flushRunTelemetry();
 
 private:
+  /// The page-change path: touches every page \p Access covers, updating
+  /// the stack distances and the LRU order.
+  void touchPages(const MemAccess &Access);
+
   /// Per-page-touch run tracking for the run-length histogram.
   void noteRunPage(uint64_t Page, uint64_t Touches);
 

@@ -11,8 +11,9 @@
 //     allocator bug or a batching bug that reordered references across an
 //     allocator state transition;
 //   * bit-identical bus tallies, cache statistics, and checker verdicts
-//     between scalar and batched delivery of the same script — the
-//     differential half of the test.
+//     between a capacity-1 bus (scalar delivery, one record per batch) and
+//     the default batched bus on the same script — the differential half
+//     of the test.
 //
 // Seeds are fixed so failures replay deterministically: rerun the one
 // (seed, allocator) pair that fired, and the identical stream re-executes.
@@ -105,14 +106,14 @@ struct FuzzOutcome {
 };
 
 /// Replays \p Events against a fresh allocator of kind \p Kind with full
-/// checking, under batched or scalar delivery. \p CapacityBytes, when not
-/// UINT64_MAX, soft-limits heap growth past the allocator's static area so
-/// the stream runs into graceful OOM mid-flight.
+/// checking, on the default batched bus or a capacity-1 (scalar) one.
+/// \p CapacityBytes, when not UINT64_MAX, soft-limits heap growth past the
+/// allocator's static area so the stream runs into graceful OOM mid-flight.
 FuzzOutcome replay(const std::vector<AllocEvent> &Events, AllocatorKind Kind,
                    bool Batched, uint64_t CapacityBytes = UINT64_MAX) {
   MemoryBus Bus;
-  if (Batched)
-    Bus.setBatchCapacity(AccessBatch::MaxCapacity);
+  if (!Batched)
+    Bus.setBatchCapacity(1);
 
   CacheBank Caches;
   Caches.addCache(CacheConfig{16 * 1024, 32, 1});

@@ -5,10 +5,10 @@
 // families — StackSim's derived statistics (total, split by AccessSource,
 // and per-set miss profiles) must equal per-config CacheBank simulation
 // *bit-exactly*. Checked at the sink level (synthesized streams over
-// adversarial families, scalar and batched delivery) and end to end (corpus
-// scripts x all nine allocators, and the Figure 6-8 sweep through the
-// workload engine), where the automatically chosen engine is compared with
-// a CacheBank observing the same run's reference stream.
+// adversarial families, one record at a time and in chunks) and end to end
+// (corpus scripts x all nine allocators, and the Figure 6-8 sweep through
+// the workload engine), where the automatically chosen engine is compared
+// with a CacheBank observing the same run's reference stream.
 //
 // A failure here means the one-pass engine and the reference simulators
 // disagree; neither side is trusted over the other.
@@ -111,50 +111,50 @@ std::vector<MemAccess> synthesizeStream(uint64_t Seed, size_t Count) {
   return Stream;
 }
 
-/// Delivers \p Stream to CacheBank and StackSim — scalar and batched — with
-/// set profiles on, and asserts member-by-member equality of every derived
-/// statistic and every per-set miss count.
+/// Delivers \p Stream to CacheBank and StackSim — one record at a time and
+/// in chunks — with set profiles on, and asserts member-by-member equality
+/// of every derived statistic and every per-set miss count.
 void checkFamilyOnStream(const std::vector<CacheConfig> &Family,
                          const std::vector<MemAccess> &Stream,
                          const std::string &What) {
   ASSERT_NE(onePassKernelFor(Family), OnePassKernel::None) << What;
 
-  CacheBank ScalarBank, BatchedBank;
+  CacheBank SingleBank, ChunkedBank;
   for (const CacheConfig &Config : Family) {
-    ScalarBank.addCache(Config);
-    BatchedBank.addCache(Config);
+    SingleBank.addCache(Config);
+    ChunkedBank.addCache(Config);
   }
-  StackSim ScalarOne(Family), BatchedOne(Family);
+  StackSim SingleOne(Family), ChunkedOne(Family);
   for (size_t I = 0; I != Family.size(); ++I) {
-    ScalarBank.cache(I).enableSetProfile();
-    BatchedBank.cache(I).enableSetProfile();
+    SingleBank.cache(I).enableSetProfile();
+    ChunkedBank.cache(I).enableSetProfile();
   }
-  ScalarOne.enableSetProfile();
-  BatchedOne.enableSetProfile();
+  SingleOne.enableSetProfile();
+  ChunkedOne.enableSetProfile();
 
   for (const MemAccess &Acc : Stream) {
-    ScalarBank.access(Acc);
-    ScalarOne.access(Acc);
+    SingleBank.access(Acc);
+    SingleOne.access(Acc);
   }
   constexpr size_t Chunk = 256;
   for (size_t Offset = 0; Offset < Stream.size(); Offset += Chunk) {
     size_t Count = std::min(Chunk, Stream.size() - Offset);
-    BatchedBank.accessBatch(Stream.data() + Offset, Count);
-    BatchedOne.accessBatch(Stream.data() + Offset, Count);
+    ChunkedBank.accessBatch(Stream.data() + Offset, Count);
+    ChunkedOne.accessBatch(Stream.data() + Offset, Count);
   }
 
   for (size_t I = 0; I != Family.size(); ++I) {
     const std::string Member = What + ", member " + Family[I].describe();
-    expectStatsEqual(ScalarBank.cache(I).stats(), ScalarOne.statsFor(I),
-                     Member + " (scalar)");
-    expectStatsEqual(BatchedBank.cache(I).stats(), BatchedOne.statsFor(I),
-                     Member + " (batched)");
-    EXPECT_EQ(ScalarBank.cache(I).setMissProfile(),
-              ScalarOne.setMissProfile(I))
-        << Member << " set profile (scalar)";
-    EXPECT_EQ(BatchedBank.cache(I).setMissProfile(),
-              BatchedOne.setMissProfile(I))
-        << Member << " set profile (batched)";
+    expectStatsEqual(SingleBank.cache(I).stats(), SingleOne.statsFor(I),
+                     Member + " (one at a time)");
+    expectStatsEqual(ChunkedBank.cache(I).stats(), ChunkedOne.statsFor(I),
+                     Member + " (chunked)");
+    EXPECT_EQ(SingleBank.cache(I).setMissProfile(),
+              SingleOne.setMissProfile(I))
+        << Member << " set profile (one at a time)";
+    EXPECT_EQ(ChunkedBank.cache(I).setMissProfile(),
+              ChunkedOne.setMissProfile(I))
+        << Member << " set profile (chunked)";
   }
 }
 
@@ -303,16 +303,12 @@ TEST(CacheEngineEquivalenceTest, CorpusScriptsAllAllocators) {
     for (AllocatorKind Allocator : nineAllocators()) {
       for (const std::vector<CacheConfig> &Family :
            {paperCacheSweep(), assocFamily()}) {
-        for (bool Batched : {false, true}) {
-          SCOPED_TRACE(Path.filename().string() + " vs " +
-                       allocatorKindName(Allocator) +
-                       (Batched ? " (batched)" : " (scalar)"));
-          ExperimentConfig Config;
-          Config.Allocator = Allocator;
-          Config.Caches = Family;
-          Config.BatchedDelivery = Batched;
-          checkRunAgainstBank(Config, Path.filename().string(), &Events);
-        }
+        SCOPED_TRACE(Path.filename().string() + " vs " +
+                     allocatorKindName(Allocator));
+        ExperimentConfig Config;
+        Config.Allocator = Allocator;
+        Config.Caches = Family;
+        checkRunAgainstBank(Config, Path.filename().string(), &Events);
       }
     }
   }

@@ -92,6 +92,7 @@ TEST(ShadowHeapTest, TracksObjectLifeCycle) {
             ByteState::Metadata);
 
   Alloc.free(A);
+  H.Bus.flush();
   // Free-ing rewrites link words through the bus; bytes not reused for
   // bookkeeping keep the freed marking.
   EXPECT_EQ(H.Check.shadow().byteState(A + 8), ByteState::UserFreed);
@@ -221,6 +222,7 @@ TEST(CheckCorruptionTest, MetadataStoreIntoLiveObjectIsCaught) {
   Addr A = Alloc.malloc(32);
   // A buggy allocator writing bookkeeping into a live object.
   H.Heap.store32(A + 8, 0x12345678, AccessSource::Allocator);
+  H.Bus.flush();
 
   const CheckViolation *V = H.find(ViolationKind::MetadataUserOverlap);
   ASSERT_NE(V, nullptr);
@@ -239,10 +241,12 @@ TEST(CheckBusTest, UseAfterFreeIsCaught) {
 
   Addr A = Alloc.malloc(32);
   H.Bus.emit(A + 8, 4, AccessKind::Read, AccessSource::Application);
+  H.Bus.flush();
   EXPECT_TRUE(H.Check.violations().empty()) << "live touch is legal";
 
   Alloc.free(A);
   H.Bus.emit(A + 8, 4, AccessKind::Read, AccessSource::Application);
+  H.Bus.flush();
   const CheckViolation *V = H.find(ViolationKind::UseAfterFree);
   ASSERT_NE(V, nullptr);
   EXPECT_EQ(V->Address, A + 8);
@@ -258,6 +262,7 @@ TEST(CheckBusTest, ApplicationTouchOfMetadataIsCaught) {
   // An application load from a freelist sentinel word.
   H.Bus.emit(Alloc.freelistSentinel(), 4, AccessKind::Read,
              AccessSource::Application);
+  H.Bus.flush();
   const CheckViolation *V = H.find(ViolationKind::MetadataUserOverlap);
   ASSERT_NE(V, nullptr);
   EXPECT_EQ(V->Address, Alloc.freelistSentinel());
@@ -273,6 +278,7 @@ TEST(CheckBusTest, WildAccessIsCaught) {
   // but neither object nor bookkeeping.
   Addr Tail = firstFreeNode(H.Heap, Alloc.freelistSentinel());
   H.Bus.emit(Tail + 16, 4, AccessKind::Write, AccessSource::Application);
+  H.Bus.flush();
   EXPECT_TRUE(H.has(ViolationKind::WildAccess));
 }
 
@@ -284,6 +290,7 @@ TEST(CheckBusTest, OutOfSegmentAccessIsCaught) {
   Alloc.malloc(16);
   Addr Past = H.Heap.brk() + 64;
   H.Bus.emit(Past, 4, AccessKind::Read, AccessSource::Application);
+  H.Bus.flush();
   const CheckViolation *V = H.find(ViolationKind::OutOfSegment);
   ASSERT_NE(V, nullptr);
   EXPECT_EQ(V->Address, Past);
@@ -296,6 +303,7 @@ TEST(CheckBusTest, StackAccessesAreIgnored) {
   H.Bus.emit(StackBase, 4, AccessKind::Write, AccessSource::Application);
   H.Bus.emit(StackBase + 512, 4, AccessKind::Read,
              AccessSource::Application);
+  H.Bus.flush();
   EXPECT_TRUE(H.Check.violations().empty());
 }
 

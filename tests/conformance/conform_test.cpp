@@ -73,11 +73,14 @@ RunResult fabricatedResult(const ExperimentConfig &Config) {
   return Result;
 }
 
-ResultStore fabricatedStore() {
+ResultStore fabricatedStore(const MatrixSpec &Spec = fabricatedSpec()) {
   MatrixOptions Options;
   Options.Jobs = 1;
-  Options.CellRunner = fabricatedResult;
-  return runMatrix(fabricatedSpec(), Options);
+  Options.CellRunner = [](const ExperimentConfig &Config,
+                          TelemetrySnapshot &) {
+    return fabricatedResult(Config);
+  };
+  return runMatrix(Spec, Options);
 }
 
 //===----------------------------------------------------------------------===//
@@ -277,10 +280,7 @@ TEST(TrendCheck, PairComparesAcrossMatrices) {
   // A second store fabricated with boundary tags: TagRefs goes 0 -> 400.
   MatrixSpec Tagged = fabricatedSpec();
   Tagged.Base.EmulateBoundaryTags = true;
-  MatrixOptions Options;
-  Options.Jobs = 1;
-  Options.CellRunner = fabricatedResult;
-  ResultStore TaggedStore = runMatrix(Tagged, Options);
+  ResultStore TaggedStore = fabricatedStore(Tagged);
 
   StoreMap Stores{{"plain", &Store}, {"tagged", &TaggedStore}};
   DiagEngine Diags;

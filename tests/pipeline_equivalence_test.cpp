@@ -1,21 +1,20 @@
-//===- tests/pipeline_equivalence_test.cpp - Batched == scalar ------------===//
+//===- tests/pipeline_equivalence_test.cpp - Chunking never shows ---------===//
 //
-// The batched reference pipeline is a pure throughput optimization: the
-// paper's methodology depends on bit-identical miss and fault counts across
-// allocators, so batching is only admissible if it changes *nothing* but
-// wall-clock time. This suite runs the same experiments twice — once with
-// scalar delivery (capacity-1 batches, the historical bus semantics) and
-// once with full batching — and requires every field of the results to be
-// exactly equal: instruction splits, Table-2 reference tallies, per-cache
-// per-source miss counts, page-fault curves, heap-check verdicts, and the
-// serialized trace bytes.
+// Batching is a pure throughput device: the paper's methodology depends on
+// bit-identical miss and fault counts across allocators, so where the bus
+// cuts the stream into batches must change nothing but wall-clock time.
+// Each test here runs an experiment once, captures its exact reference
+// stream, and replays it into fresh sinks in chunks of 1, 193 and 256
+// records (tests/ChunkOracle.h): per-cache per-source miss counts, per-set
+// miss profiles, page-fault curves, the page-run histogram and the
+// serialized trace bytes must all come out identical, and equal to the
+// run's own.
 //
 //===----------------------------------------------------------------------===//
 
+#include "ChunkOracle.h"
+
 #include "core/MatrixRunner.h"
-#include "trace/RefTrace.h"
-#include "vm/PageSim.h"
-#include "workload/Driver.h"
 
 #include <gtest/gtest.h>
 
@@ -25,67 +24,16 @@ using namespace allocsim;
 
 namespace {
 
-/// Field-by-field exact comparison of two RunResults. Doubles are compared
-/// with ==: both runs execute the identical arithmetic on identical
-/// integers, so even the derived rates must agree to the last bit.
-void expectIdentical(const RunResult &Scalar, const RunResult &Batched,
-                     const std::string &Label) {
-  SCOPED_TRACE(Label);
-  EXPECT_EQ(Scalar.AppInstructions, Batched.AppInstructions);
-  EXPECT_EQ(Scalar.AllocInstructions, Batched.AllocInstructions);
-  EXPECT_EQ(Scalar.TotalRefs, Batched.TotalRefs);
-  EXPECT_EQ(Scalar.AppRefs, Batched.AppRefs);
-  EXPECT_EQ(Scalar.AllocRefs, Batched.AllocRefs);
-  EXPECT_EQ(Scalar.TagRefs, Batched.TagRefs);
-
-  EXPECT_EQ(Scalar.Alloc.MallocCalls, Batched.Alloc.MallocCalls);
-  EXPECT_EQ(Scalar.Alloc.FreeCalls, Batched.Alloc.FreeCalls);
-  EXPECT_EQ(Scalar.Alloc.BytesRequested, Batched.Alloc.BytesRequested);
-  EXPECT_EQ(Scalar.Alloc.LiveBytes, Batched.Alloc.LiveBytes);
-  EXPECT_EQ(Scalar.Alloc.MaxLiveBytes, Batched.Alloc.MaxLiveBytes);
-  EXPECT_EQ(Scalar.HeapBytes, Batched.HeapBytes);
-  EXPECT_EQ(Scalar.BlocksSearched, Batched.BlocksSearched);
-
-  ASSERT_EQ(Scalar.Caches.size(), Batched.Caches.size());
-  for (size_t I = 0; I != Scalar.Caches.size(); ++I) {
-    SCOPED_TRACE("cache " + Scalar.Caches[I].Config.describe());
-    const CacheStats &S = Scalar.Caches[I].Stats;
-    const CacheStats &B = Batched.Caches[I].Stats;
-    EXPECT_EQ(S.Accesses, B.Accesses);
-    EXPECT_EQ(S.Misses, B.Misses);
-    for (unsigned Source = 0; Source != NumAccessSources; ++Source) {
-      EXPECT_EQ(S.AccessesBySource[Source], B.AccessesBySource[Source]);
-      EXPECT_EQ(S.MissesBySource[Source], B.MissesBySource[Source]);
-    }
-    EXPECT_EQ(Scalar.Caches[I].Time.seconds(), Batched.Caches[I].Time.seconds());
-  }
-
-  ASSERT_EQ(Scalar.Paging.size(), Batched.Paging.size());
-  for (size_t I = 0; I != Scalar.Paging.size(); ++I) {
-    EXPECT_EQ(Scalar.Paging[I].MemoryKb, Batched.Paging[I].MemoryKb);
-    EXPECT_EQ(Scalar.Paging[I].FaultsPerRef, Batched.Paging[I].FaultsPerRef);
-  }
-  EXPECT_EQ(Scalar.DistinctPages, Batched.DistinctPages);
-
-  EXPECT_EQ(Scalar.CheckViolations, Batched.CheckViolations);
-  EXPECT_EQ(Scalar.CheckWalks, Batched.CheckWalks);
-  EXPECT_EQ(Scalar.CheckReports, Batched.CheckReports);
-}
-
-/// Runs \p Config under both delivery modes and requires identity.
-void expectEquivalent(ExperimentConfig Config, const std::string &Label) {
-  Config.BatchedDelivery = false;
-  RunResult Scalar = runExperiment(Config);
-  Config.BatchedDelivery = true;
-  RunResult Batched = runExperiment(Config);
-  expectIdentical(Scalar, Batched, Label);
-}
-
+/// The oracle holds a cell's whole stream and trace bytes in memory and
+/// replays the stream three times, once record by record, so these cells
+/// keep it near two million records: the scale is picked per workload and
+/// not clamped to the paper's live heap.
 ExperimentConfig paperConfig(WorkloadId Workload, AllocatorKind Allocator) {
   ExperimentConfig Config;
   Config.Workload = Workload;
   Config.Allocator = Allocator;
-  Config.Engine.Scale = 128;
+  Config.Engine.Scale = Workload == WorkloadId::GsSmall ? 32 : 256;
+  Config.Engine.ClampScaleForLiveHeap = false;
   Config.Engine.Seed = 1592932958;
   Config.Caches = paperCacheSweep();
   Config.PagingMemoryKb = {256, 1024};
@@ -96,48 +44,59 @@ ExperimentConfig paperConfig(WorkloadId Workload, AllocatorKind Allocator) {
 
 TEST(PipelineEquivalenceTest, AllPaperAllocatorsOnEspresso) {
   for (AllocatorKind Kind : PaperAllocators)
-    expectEquivalent(paperConfig(WorkloadId::Espresso, Kind),
-                     std::string("espresso/") + allocatorKindName(Kind));
+    expectChunkingInvariant(paperConfig(WorkloadId::Espresso, Kind),
+                            std::string("espresso/") +
+                                allocatorKindName(Kind));
 }
 
 TEST(PipelineEquivalenceTest, AllPaperAllocatorsOnGsSmall) {
   // The Fig. 6-8 subject: the full multi-cache sweep on the ghostscript
-  // workload, where the batched fast paths run hottest.
+  // workload, where the batch loops run hottest.
   for (AllocatorKind Kind : PaperAllocators)
-    expectEquivalent(paperConfig(WorkloadId::GsSmall, Kind),
-                     std::string("gs-small/") + allocatorKindName(Kind));
+    expectChunkingInvariant(paperConfig(WorkloadId::GsSmall, Kind),
+                            std::string("gs-small/") +
+                                allocatorKindName(Kind));
 }
 
 TEST(PipelineEquivalenceTest, BoundaryTagEmulationIdentical) {
   // Table 6: the tag-emulation reference stream (third access source) must
-  // batch identically too.
+  // replay identically too.
   ExperimentConfig Config =
       paperConfig(WorkloadId::Espresso, AllocatorKind::GnuLocal);
   Config.EmulateBoundaryTags = true;
-  expectEquivalent(Config, "espresso/GnuLocal+tags");
+  expectChunkingInvariant(Config, "espresso/GnuLocal+tags");
 }
 
 TEST(PipelineEquivalenceTest, HeapCheckFullIdentical) {
-  // With --check=full the ShadowHeap validates every reference and the
-  // invariant walkers run on the operation clock; batching must neither
-  // change any verdict nor move a walk.
+  // With --check=full the ShadowHeap drains the bus before every heap state
+  // transition, so batches end at different points than in an unchecked
+  // run. The stream and every sink result must not move: the checked run
+  // replays identically, and its measurements equal the unchecked run's.
   for (AllocatorKind Kind :
        {AllocatorKind::FirstFit, AllocatorKind::Bsd, AllocatorKind::QuickFit}) {
     ExperimentConfig Config = paperConfig(WorkloadId::Espresso, Kind);
-    Config.Engine.Scale = 256;
+    RunResult Plain = runExperiment(Config);
     Config.Check.Level = CheckLevel::Full;
     Config.Check.IntervalOps = 64;
     Config.Check.AbortOnViolation = false;
-    expectEquivalent(Config,
-                     std::string("check-full/") + allocatorKindName(Kind));
+    RunResult Checked = expectChunkingInvariant(
+        Config, std::string("check-full/") + allocatorKindName(Kind));
+    EXPECT_EQ(Checked.CheckViolations, 0u);
+    EXPECT_GT(Checked.CheckWalks, 0u);
+    EXPECT_EQ(Checked.TotalRefs, Plain.TotalRefs);
+    ASSERT_EQ(Checked.Caches.size(), Plain.Caches.size());
+    for (size_t I = 0; I != Plain.Caches.size(); ++I)
+      expectCacheStatsEqual(Checked.Caches[I].Stats, Plain.Caches[I].Stats);
+    ASSERT_EQ(Checked.Paging.size(), Plain.Paging.size());
+    for (size_t I = 0; I != Plain.Paging.size(); ++I)
+      EXPECT_EQ(Checked.Paging[I].FaultsPerRef, Plain.Paging[I].FaultsPerRef);
   }
 }
 
 TEST(PipelineEquivalenceTest, GoldenMatrixSerializesIdentically) {
   // The golden paper_small matrix (the allocsim-matrix-v1 snapshot slice):
-  // the integer-only serialization of a scalar run and a batched run must
-  // be byte-identical, which also pins the batched pipeline to the
-  // committed tests/golden/paper_small.json history.
+  // a store whose cache and paging results come from 193-record replays of
+  // each cell's stream must serialize byte-identically to the plain store.
   MatrixSpec Spec;
   Spec.Workloads = {WorkloadId::Espresso, WorkloadId::GsSmall};
   Spec.Allocators = {AllocatorKind::FirstFit, AllocatorKind::QuickFit,
@@ -149,53 +108,63 @@ TEST(PipelineEquivalenceTest, GoldenMatrixSerializesIdentically) {
 
   MatrixOptions Options;
   Options.Jobs = 2;
+  ResultStore PlainStore = runMatrix(Spec, Options);
+  ASSERT_EQ(PlainStore.failedCount(), 0u);
 
-  Spec.Base.BatchedDelivery = false;
-  ResultStore ScalarStore = runMatrix(Spec, Options);
-  ASSERT_EQ(ScalarStore.failedCount(), 0u);
-  Spec.Base.BatchedDelivery = true;
-  ResultStore BatchedStore = runMatrix(Spec, Options);
-  ASSERT_EQ(BatchedStore.failedCount(), 0u);
+  Options.CellRunner = [](const ExperimentConfig &Config,
+                          TelemetrySnapshot &) {
+    RunTap Tap;
+    RunResult Result = runExperiment(Config, nullptr, &Tap);
+    ChunkedReplay Replay = replayInChunks(Config, Tap.Stream, 193);
+    for (size_t I = 0; I != Result.Caches.size(); ++I) {
+      Result.Caches[I].Stats = Replay.Caches[I];
+      Result.Caches[I].Time.MissRate = Replay.Caches[I].missRate();
+    }
+    for (size_t I = 0; I != Result.Paging.size(); ++I)
+      Result.Paging[I].FaultsPerRef = Replay.FaultsPerRef[I];
+    Result.DistinctPages = Replay.DistinctPages;
+    return Result;
+  };
+  ResultStore ReplayedStore = runMatrix(Spec, Options);
+  ASSERT_EQ(ReplayedStore.failedCount(), 0u);
 
-  std::ostringstream Scalar, Batched;
-  ScalarStore.writeGoldenJson(Scalar);
-  BatchedStore.writeGoldenJson(Batched);
-  EXPECT_EQ(Scalar.str(), Batched.str());
+  std::ostringstream Plain, Replayed;
+  PlainStore.writeGoldenJson(Plain);
+  ReplayedStore.writeGoldenJson(Replayed);
+  EXPECT_EQ(Plain.str(), Replayed.str());
 }
 
 TEST(PipelineEquivalenceTest, BinaryTraceBytesIdentical) {
-  // The trace writer is a sink like any other: a batched capture must
-  // serialize the very same bytes as a scalar capture.
-  auto Capture = [](bool Batch) {
-    std::ostringstream Out(std::ios::binary);
-    BinaryTraceWriter Writer(Out);
-    MemoryBus Bus;
-    if (Batch)
-      Bus.setBatchCapacity(AccessBatch::MaxCapacity);
-    Bus.attach(&Writer);
-    SimHeap Heap(Bus);
-    CostModel Cost;
-    std::unique_ptr<Allocator> Alloc =
-        createAllocator(AllocatorKind::FirstFit, Heap, Cost);
-    const AppProfile &Profile = getProfile(WorkloadId::Espresso);
-    EngineOptions Options;
-    Options.Scale = 512;
-    WorkloadEngine Engine(Profile, Options);
-    Driver Drive(*Alloc, Bus, Cost, Profile.instrPerRef());
-    Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
-    Bus.flush();
-    return Out.str();
-  };
-  std::string Scalar = Capture(false);
-  std::string Batched = Capture(true);
-  ASSERT_FALSE(Scalar.empty());
-  EXPECT_EQ(Scalar, Batched);
+  // The trace writer is a sink like any other: the bytes written by a
+  // writer on the run's bus equal those of every chunked replay (the
+  // oracle checks that), and they decode back to the exact stream.
+  ExperimentConfig Config;
+  Config.Workload = WorkloadId::Espresso;
+  Config.Allocator = AllocatorKind::FirstFit;
+  Config.Engine.Scale = 512;
+  expectChunkingInvariant(Config, "trace only");
+
+  RunTap Tap;
+  runExperiment(Config, nullptr, &Tap);
+  std::istringstream In(Tap.Trace.str(), std::ios::binary);
+  BinaryTraceReader Reader(In);
+  CollectingSink Decoded;
+  EXPECT_EQ(replayTrace(Reader, Decoded), Tap.Stream.size());
+  ASSERT_EQ(Decoded.records().size(), Tap.Stream.size());
+  for (size_t I = 0; I != Tap.Stream.size(); ++I) {
+    const MemAccess &Got = Decoded.records()[I];
+    const MemAccess &Want = Tap.Stream[I];
+    ASSERT_TRUE(Got.Address == Want.Address && Got.Size == Want.Size &&
+                Got.Kind == Want.Kind && Got.Source == Want.Source)
+        << "record " << I;
+  }
 }
 
 TEST(PipelineEquivalenceTest, PageSimRunSkipMatchesScalar) {
-  // Direct unit-level check of the PageSim batch fast path, including
-  // page-straddling records that must fall back to the scalar split.
-  PageSim Scalar(4096), Batched(4096);
+  // Direct unit-level check of PageSim's same-page run skip, including
+  // page-straddling records that must take the per-page split: one record
+  // per call and 100-record chunks must agree.
+  PageSim Single(4096), Chunked(4096);
   std::vector<MemAccess> Stream;
   Addr Base = 0x1000'0000;
   for (uint32_t I = 0; I != 4000; ++I) {
@@ -208,14 +177,14 @@ TEST(PipelineEquivalenceTest, PageSimRunSkipMatchesScalar) {
                                AccessSource::Application});
   }
   for (const MemAccess &Access : Stream)
-    Scalar.access(Access);
+    Single.access(Access);
   for (size_t I = 0; I < Stream.size(); I += 100)
-    Batched.accessBatch(Stream.data() + I,
+    Chunked.accessBatch(Stream.data() + I,
                         std::min<size_t>(100, Stream.size() - I));
 
-  EXPECT_EQ(Scalar.references(), Batched.references());
-  EXPECT_EQ(Scalar.distinctPages(), Batched.distinctPages());
-  EXPECT_EQ(Scalar.zeroDistanceHits(), Batched.zeroDistanceHits());
+  EXPECT_EQ(Single.references(), Chunked.references());
+  EXPECT_EQ(Single.distinctPages(), Chunked.distinctPages());
+  EXPECT_EQ(Single.zeroDistanceHits(), Chunked.zeroDistanceHits());
   for (uint64_t Pages : {0u, 1u, 2u, 8u, 64u, 1024u})
-    EXPECT_EQ(Scalar.faults(Pages), Batched.faults(Pages)) << Pages;
+    EXPECT_EQ(Single.faults(Pages), Chunked.faults(Pages)) << Pages;
 }

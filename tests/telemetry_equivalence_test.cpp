@@ -8,10 +8,9 @@
 //     simulation already computes; attaching a registry (at any level) must
 //     leave every measurement bit-identical — RunResult fields, the golden
 //     allocsim-matrix-v1 serialization, and the raw trace bytes — for all
-//     five paper allocators, under batched and scalar delivery alike. This
-//     is what lets telemetry=off stay byte-for-byte on the committed golden
-//     history while telemetry=full is trustworthy: full sees the *same*
-//     run, not a perturbed one.
+//     five paper allocators. This is what lets telemetry=off stay
+//     byte-for-byte on the committed golden history while telemetry=full
+//     is trustworthy: full sees the *same* run, not a perturbed one.
 //
 //  2. **What the probes report is right.** The collected distributions are
 //     cross-checked against independent sources: base counters against
@@ -22,8 +21,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ChunkOracle.h"
+
 #include "core/MatrixRunner.h"
-#include "trace/RefTrace.h"
 #include "workload/Driver.h"
 
 #include <gtest/gtest.h>
@@ -112,16 +112,11 @@ RunResult expectLevelsEquivalent(ExperimentConfig Config,
 
 } // namespace
 
-TEST(TelemetryEquivalenceTest, AllPaperAllocatorsBatchedAndScalar) {
+TEST(TelemetryEquivalenceTest, AllPaperAllocatorsUnperturbed) {
   for (AllocatorKind Kind : PaperAllocators)
-    for (bool Batched : {false, true}) {
-      ExperimentConfig Config = paperConfig(WorkloadId::Espresso, Kind);
-      Config.BatchedDelivery = Batched;
-      expectLevelsEquivalent(Config,
-                             std::string("espresso/") +
-                                 allocatorKindName(Kind) +
-                                 (Batched ? "/batched" : "/scalar"));
-    }
+    expectLevelsEquivalent(paperConfig(WorkloadId::Espresso, Kind),
+                           std::string("espresso/") +
+                               allocatorKindName(Kind));
 }
 
 TEST(TelemetryEquivalenceTest, BoundaryTagEmulationUnperturbed) {
@@ -134,18 +129,19 @@ TEST(TelemetryEquivalenceTest, BoundaryTagEmulationUnperturbed) {
 }
 
 TEST(TelemetryEquivalenceTest, TelemetryItselfDeliveryIndependent) {
-  // Stronger than measurement identity: the collected telemetry (per-set
-  // conflict profiles, page-run lengths, everything) must also be identical
-  // under scalar and batched delivery.
+  // Stronger than measurement identity: the collected per-set conflict
+  // profiles and page-run lengths must not depend on how delivery cuts the
+  // stream into batches. The chunking oracle replays each run's stream in
+  // chunks of 1, 193 and 256 and holds the run's histograms to every
+  // replay's. The oracle holds each stream in memory and replays it record
+  // by record, so the scale is raised past the live-heap clamp to keep the
+  // stream near two million records.
   for (AllocatorKind Kind : PaperAllocators) {
     ExperimentConfig Config = paperConfig(WorkloadId::GsSmall, Kind);
-    Config.Telemetry = TelemetryLevel::Full;
-    Config.BatchedDelivery = false;
-    RunResult Scalar = runExperiment(Config);
-    Config.BatchedDelivery = true;
-    RunResult Batched = runExperiment(Config);
-    EXPECT_EQ(Scalar.Telemetry, Batched.Telemetry)
-        << allocatorKindName(Kind);
+    Config.Engine.Scale = 32;
+    Config.Engine.ClampScaleForLiveHeap = false;
+    expectChunkingInvariant(Config, std::string("gs-small/") +
+                                        allocatorKindName(Kind));
   }
 }
 
@@ -185,7 +181,6 @@ TEST(TelemetryEquivalenceTest, TraceBytesUnchangedByTelemetry) {
     std::ostringstream Out(std::ios::binary);
     BinaryTraceWriter Writer(Out);
     MemoryBus Bus;
-    Bus.setBatchCapacity(AccessBatch::MaxCapacity);
     Bus.attach(&Writer);
     SimHeap Heap(Bus);
     CostModel Cost;

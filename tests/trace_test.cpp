@@ -65,6 +65,26 @@ TEST(RefTraceTest, BadMagicIsFatal) {
   EXPECT_DEATH({ BinaryTraceReader Reader(Buffer); }, "magic");
 }
 
+TEST(RefTraceTest, TextAddressPast32BitsIsFatal) {
+  // Addresses are 32-bit; a wider value must not be truncated silently to
+  // 0xffff0000.
+  std::stringstream Buffer("R 1ffff0000 4 app\n");
+  TextTraceReader Reader(Buffer);
+  MemAccess Access;
+  EXPECT_DEATH(Reader.next(Access), "text trace: address");
+}
+
+TEST(RefTraceTest, TextSizeOutsideByteRangeIsFatal) {
+  // Sizes are 0..255; truncation would read 300 as 44 and -1 as 255.
+  for (const char *Line : {"R 10000000 300 app\n", "R 10000000 -1 app\n"}) {
+    SCOPED_TRACE(Line);
+    std::stringstream Buffer(Line);
+    TextTraceReader Reader(Buffer);
+    MemAccess Access;
+    EXPECT_DEATH(Reader.next(Access), "text trace: access size");
+  }
+}
+
 TEST(RefTraceTest, ReplayIntoSink) {
   std::stringstream Buffer;
   {

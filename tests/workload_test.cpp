@@ -249,9 +249,12 @@ TEST(DriverTest, TouchEmitsApplicationRefs) {
 TEST(DriverTest, TouchWrapsWithinObject) {
   DriverHarness H;
   H.Drive.execute(AllocEvent::makeMalloc(1, 8)); // 2 words
+  // Deliver the malloc's staged references before the sink attaches.
+  H.Bus.flush();
   CollectingSink Sink;
   H.Bus.attach(&Sink);
   H.Drive.execute(AllocEvent::makeTouch(1, 5, AccessKind::Read));
+  H.Bus.flush();
   Addr Base = H.Drive.addressOf(1);
   ASSERT_EQ(Sink.records().size(), 5u);
   for (const MemAccess &Access : Sink.records()) {
@@ -265,6 +268,7 @@ TEST(DriverTest, StackTouchesStayInWindow) {
   CollectingSink Sink;
   H.Bus.attach(&Sink);
   H.Drive.execute(AllocEvent::makeStackTouch(2000, AccessKind::Read));
+  H.Bus.flush();
   ASSERT_EQ(Sink.records().size(), 2000u);
   for (const MemAccess &Access : Sink.records()) {
     EXPECT_GE(Access.Address, StackBase);

@@ -105,10 +105,6 @@ int main(int Argc, char **Argv) {
               "full (shadow + periodic invariant walks)");
   Cli.addFlag("check-interval", "64",
               "operations between invariant walks with --check=full");
-  Cli.addFlag("delivery", "batched",
-              "reference delivery to the simulators: batched (default) or "
-              "scalar; results are bit-identical, scalar exists for "
-              "equivalence checks and as the throughput baseline");
   Cli.addFlag("telemetry", "off",
               "telemetry probes: off (default; zero overhead, bit-identical "
               "results), summary (counters) or full (counters + histograms)");
@@ -195,13 +191,6 @@ int main(int Argc, char **Argv) {
   Spec.Base.Check.Level = parseCheckLevel(Cli.getString("check"));
   Spec.Base.Check.IntervalOps =
       static_cast<uint32_t>(Cli.getInt("check-interval"));
-  if (Cli.getString("delivery") == "batched")
-    Spec.Base.BatchedDelivery = true;
-  else if (Cli.getString("delivery") == "scalar")
-    Spec.Base.BatchedDelivery = false;
-  else
-    return usageError("bad --delivery '" + Cli.getString("delivery") +
-                      "' (expected batched or scalar)");
   if (!tryParseTelemetryLevel(Cli.getString("telemetry"),
                               Spec.Base.Telemetry))
     return usageError("bad --telemetry '" + Cli.getString("telemetry") +

@@ -12,6 +12,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "cache/CacheSim.h"
+#include "mem/MemoryBus.h"
 #include "support/Error.h"
 #include "support/Table.h"
 #include "trace/RefTrace.h"
@@ -105,14 +106,11 @@ int runSim(const std::string &Path, const std::vector<uint32_t> &SizesKb) {
   for (uint32_t SizeKb : SizesKb)
     Bank.addCache(CacheConfig{SizeKb * 1024, 32, 1});
   PageSim Paging;
-
-  MemAccess Access;
-  uint64_t Total = 0;
-  while (Reader.next(Access)) {
-    Bank.access(Access);
-    Paging.access(Access);
-    ++Total;
-  }
+  MemoryBus Bus;
+  Bus.attach(&Bank);
+  Bus.attach(&Paging);
+  uint64_t Total = replayTrace(Reader, Bus);
+  Bus.flush();
 
   std::cout << "replayed " << Total << " references\n\n";
   Table Caches({"cache", "miss rate %"});

@@ -107,7 +107,6 @@ int runScript(const std::string &Path, const std::string &AllocName,
   std::vector<AllocEvent> Events = loadScript(Path);
 
   MemoryBus Bus;
-  Bus.setBatchCapacity(AccessBatch::MaxCapacity);
   CacheBank Bank;
   for (uint32_t SizeKb : SizesKb)
     Bank.addCache(CacheConfig{SizeKb * 1024, 32, 1});
