@@ -5,8 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Flag handling and formatting shared by the per-table/per-figure
-/// benchmark binaries. Every binary accepts:
+/// Flag handling, formatting and the matrix runner shared by the benchmark
+/// binaries (allocsim_reproduce, Figure 9, the extensions). Every binary
+/// accepts:
 ///
 ///   --scale N      divide the paper's allocation counts by N (default 8;
 ///                  workloads that cannot be scaled without shrinking their
@@ -16,9 +17,10 @@
 ///   --jobs N       MatrixRunner worker threads for the sweep benches
 ///                  (0 = all hardware threads; results are bit-identical
 ///                  at any job count)
-///   --out-json P   also export the full experiment matrix as JSON to P
+///   --out-json P   also export each experiment matrix as JSON to
+///                  P.<matrix name>.json
 ///
-/// and prints the paper artifact it regenerates, alongside the paper's
+/// and prints the paper artifacts it regenerates, alongside the paper's
 /// published values where the scanned text preserves them.
 ///
 //===----------------------------------------------------------------------===//
@@ -43,14 +45,15 @@ struct BenchOptions {
   bool Csv = false;
   /// MatrixRunner worker threads (0 = all hardware threads).
   uint32_t Jobs = 0;
-  /// When non-empty, matrix-backed benches also export their full
-  /// ResultStore as JSON to this path.
+  /// When non-empty, matrix-backed benches also export each ResultStore
+  /// as JSON to <OutJson>.<matrix name>.json.
   std::string OutJson;
   /// Telemetry probe level for every run (off keeps the paper numbers
   /// bit-identical; summary/full add counters/histograms to the export).
   TelemetryLevel Telemetry = TelemetryLevel::Off;
   /// When non-empty, matrix-backed benches also export per-cell + merged
-  /// telemetry ("allocsim-telemetry-v1") to this path.
+  /// telemetry ("allocsim-telemetry-v1") to <OutTelemetryJson>.<matrix
+  /// name>.json.
   std::string OutTelemetryJson;
 };
 
@@ -73,43 +76,18 @@ ExperimentConfig baseConfig(WorkloadId Workload, const BenchOptions &Options);
 /// Formats a fault rate the way the paper's log-scale figures label it.
 std::string formatRate(double Value);
 
-/// Runs \p Workloads x PaperAllocators through the MatrixRunner at
-/// Options.Jobs workers, with every cell observing all of \p Caches.
-/// Exports the matrix to Options.OutJson when set, and dies with the
-/// cell's attribution if any cell fails (the paper sweeps have no
-/// legitimately failing cells). Index the store with at(W, A).
-ResultStore runBenchMatrix(const std::vector<WorkloadId> &Workloads,
-                           const std::vector<CacheConfig> &Caches,
+/// A matrix of \p Workloads x PaperAllocators under the common options
+/// (Base = baseConfig; no caches or paging; workload-salted seeds).
+MatrixSpec paperSpec(const std::vector<WorkloadId> &Workloads,
+                     const BenchOptions &Options);
+
+/// Runs \p Spec through the MatrixRunner at Options.Jobs workers. Exports
+/// the store to <out-json>.<Name>.json and its telemetry to
+/// <out-telemetry-json>.<Name>.json when those flags are set, and dies
+/// with the cell's attribution if any cell fails (the bench sweeps have no
+/// legitimately failing cells). Index the store with at(W, A, P).
+ResultStore runBenchMatrix(const MatrixSpec &Spec, const std::string &Name,
                            const BenchOptions &Options);
-
-/// Runs the Figure 4/5 and Table 4/5 study: every paper workload under
-/// every paper allocator with one direct-mapped cache of \p CacheKb,
-/// through the MatrixRunner (parallel across cells, deterministic).
-/// Returns Results[workload][allocator] in PaperWorkloads/PaperAllocators
-/// order.
-std::vector<std::vector<RunResult>> runTimeStudy(uint32_t CacheKb,
-                                                 const BenchOptions &Options);
-
-/// Emits the Figure 4/5 artifact: per-application execution time
-/// normalized to FirstFit, base (instructions only) and total (with the
-/// 25-cycle miss penalty), plus the miss share of execution time.
-void emitNormalizedTimeStudy(uint32_t CacheKb, const BenchOptions &Options);
-
-/// Paper reference entry for emitTimeTable (see PaperData.h).
-struct PaperTime;
-
-/// Emits the Table 4/5 artifact: estimated total seconds and miss seconds
-/// per application and allocator, next to the paper's published values.
-void emitTimeTable(uint32_t CacheKb, const PaperTime Paper[5][5],
-                   const BenchOptions &Options);
-
-/// Runs a Figure 2/3-style page-fault study: one workload under all five
-/// allocators, printing faults-per-reference at each memory size, plus the
-/// per-allocator total heap ("total amount of memory requested by the
-/// program", the paper's x-axis end symbols).
-void runPageFaultFigure(WorkloadId Workload,
-                        const std::vector<uint32_t> &MemoryKb,
-                        const BenchOptions &Options);
 
 } // namespace allocsim
 

@@ -27,50 +27,7 @@
 
 #include "BenchCommon.h"
 
-#include "support/Error.h"
-
-#include <fstream>
-
 using namespace allocsim;
-
-namespace {
-
-std::vector<AllocatorKind> modernSweepAllocators() {
-  std::vector<AllocatorKind> Kinds(PaperAllocators, PaperAllocators + 5);
-  Kinds.push_back(AllocatorKind::BitmapFit);
-  Kinds.push_back(AllocatorKind::SpaceFit);
-  return Kinds;
-}
-
-ResultStore runModernMatrix(const std::vector<WorkloadId> &Workloads,
-                            const std::vector<CacheConfig> &Caches,
-                            const BenchOptions &Options,
-                            const std::string &OutJson) {
-  MatrixSpec Spec;
-  Spec.Workloads = Workloads;
-  Spec.Allocators = modernSweepAllocators();
-  Spec.Caches = Caches;
-  Spec.Base = baseConfig(Workloads.front(), Options);
-
-  MatrixOptions Run;
-  Run.Jobs = Options.Jobs;
-  ResultStore Store = runMatrix(Spec, Run);
-  for (size_t I = 0; I != Store.size(); ++I)
-    if (!Store.cell(I).Ok)
-      reportFatalError(std::string("bench matrix cell failed: workload ") +
-                       workloadName(Store.cell(I).Workload) + ", allocator " +
-                       allocatorKindName(Store.cell(I).Allocator) + ": " +
-                       Store.cell(I).Error);
-  if (!OutJson.empty()) {
-    std::ofstream Out(OutJson);
-    if (!Out)
-      reportFatalError("cannot write '" + OutJson + "'");
-    Store.writeJson(Out);
-  }
-  return Store;
-}
-
-} // namespace
 
 int main(int Argc, char **Argv) {
   CommandLine Cli;
@@ -81,14 +38,18 @@ int main(int Argc, char **Argv) {
               "paper's miss-rate and execution-time studies",
               *Options);
 
-  const std::vector<AllocatorKind> Allocators = modernSweepAllocators();
+  std::vector<AllocatorKind> Allocators(PaperAllocators, PaperAllocators + 5);
+  Allocators.push_back(AllocatorKind::BitmapFit);
+  Allocators.push_back(AllocatorKind::SpaceFit);
 
   // Part one: Figure 6/7-style miss-rate columns, GS small and medium
   // inputs, direct-mapped 16K..256K.
-  const std::vector<CacheConfig> Sweep = paperCacheSweep();
-  ResultStore MissStore = runModernMatrix(
-      {WorkloadId::GsSmall, WorkloadId::GsMedium}, Sweep, *Options,
-      Options->OutJson.empty() ? "" : Options->OutJson + ".missrate.json");
+  MatrixSpec MissSpec =
+      paperSpec({WorkloadId::GsSmall, WorkloadId::GsMedium}, *Options);
+  MissSpec.Allocators = Allocators;
+  MissSpec.Caches = paperCacheSweep();
+  const std::vector<CacheConfig> &Sweep = MissSpec.Caches;
+  ResultStore MissStore = runBenchMatrix(MissSpec, "missrate", *Options);
   const char *Figures[] = {"Figure 6 + moderns (GS-Small)",
                            "Figure 7 + moderns (GS-Medium)"};
   for (size_t In = 0; In != 2; ++In) {
@@ -111,11 +72,12 @@ int main(int Argc, char **Argv) {
 
   // Part two: Table 4/5-style estimated seconds at 16K and 64K, plus the
   // allocation-policy costs that explain them.
-  ResultStore TimeStore = runModernMatrix(
-      {WorkloadId::Espresso, WorkloadId::Make},
-      {CacheConfig{16 * 1024, 32, 1}, CacheConfig{64 * 1024, 32, 1}},
-      *Options,
-      Options->OutJson.empty() ? "" : Options->OutJson + ".exectime.json");
+  MatrixSpec TimeSpec =
+      paperSpec({WorkloadId::Espresso, WorkloadId::Make}, *Options);
+  TimeSpec.Allocators = Allocators;
+  TimeSpec.Caches = {CacheConfig{16 * 1024, 32, 1},
+                     CacheConfig{64 * 1024, 32, 1}};
+  ResultStore TimeStore = runBenchMatrix(TimeSpec, "exectime", *Options);
   const WorkloadId TimeWorkloads[] = {WorkloadId::Espresso, WorkloadId::Make};
   for (size_t W = 0; W != 2; ++W) {
     WorkloadEngine Engine(getProfile(TimeWorkloads[W]),

@@ -28,23 +28,23 @@ int main(int Argc, char **Argv) {
                   std::string(workloadName(Workload)) + ", 64K cache",
               *Options);
 
-  ExperimentConfig Config = baseConfig(Workload, *Options);
-  Config.Caches = {CacheConfig{64 * 1024, 32, 1}};
-  std::vector<RunResult> Results =
-      runSweep(Config, {PaperAllocators, PaperAllocators + 5});
+  // The penalty only rescales the time estimate, so the matrix simulates
+  // each allocator once and projects it onto every penalty.
+  MatrixSpec Spec = paperSpec({Workload}, *Options);
+  Spec.PenaltiesCycles = {10, 25, 50, 100, 150, 200};
+  Spec.Caches = {CacheConfig{64 * 1024, 32, 1}};
+  Spec.SaltSeedPerWorkload = false;
+  ResultStore Store = runBenchMatrix(Spec, "penalty", *Options);
 
   std::vector<std::string> Headers = {"penalty (cycles)"};
   for (AllocatorKind Allocator : PaperAllocators)
     Headers.emplace_back(allocatorKindName(Allocator));
   Table Out(Headers);
-  for (uint32_t Penalty : {10u, 25u, 50u, 100u, 150u, 200u}) {
+  for (size_t P = 0; P != Spec.PenaltiesCycles.size(); ++P) {
     Out.beginRow();
-    Out.num(uint64_t(Penalty));
-    for (const RunResult &Result : Results) {
-      TimeEstimate Time = Result.Caches[0].Time;
-      Time.MissPenalty = Penalty;
-      Out.num(Time.seconds(), 2);
-    }
+    Out.num(uint64_t(Spec.PenaltiesCycles[P]));
+    for (size_t A = 0; A != 5; ++A)
+      Out.num(Store.at(0, A, P).Result.estimatedSeconds(0), 2);
   }
   renderTable(Out, *Options, "estimated seconds at run scale");
   return 0;

@@ -6,8 +6,8 @@
 ///
 /// \file
 /// The paper's published data points, shared by the benchmark binaries that
-/// print them next to measured values (bench/bench_table4_time_16k and
-/// friends, via bench/PaperData.h) and by the conformance engine that gates
+/// print them next to measured values (bench/allocsim_reproduce's Tables 4
+/// and 5, via bench/PaperData.h) and by the conformance engine that gates
 /// on the qualitative claims derived from them. One definition: a bench that
 /// renders Table 4 and a conformance suite that asserts Table 4's ordering
 /// must read the same transcription.

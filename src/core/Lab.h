@@ -207,11 +207,6 @@ RunResult runScriptExperiment(const ExperimentConfig &Config,
                               const std::vector<AllocEvent> &Events,
                               AccessSink *Observer = nullptr);
 
-/// Runs the same workload over each allocator in \p Allocators (shared
-/// configuration otherwise), in order.
-std::vector<RunResult> runSweep(const ExperimentConfig &Base,
-                                const std::vector<AllocatorKind> &Allocators);
-
 } // namespace allocsim
 
 #endif // ALLOCSIM_CORE_LAB_H

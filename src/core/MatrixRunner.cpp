@@ -30,8 +30,10 @@ uint64_t cellSeed(const MatrixSpec &Spec, size_t WorkloadIdx) {
   return Mix.next();
 }
 
-/// Returns a description of what makes \p Config unrunnable, or "" if it is
-/// sound. Validation failures become recorded cell errors, not aborts.
+/// Returns a description of what makes \p Config's simulation unrunnable,
+/// or "" if it is sound. The miss penalty is not checked here: it only
+/// scales the time estimate, so projectPenalty validates it per cell.
+/// Validation failures become recorded cell errors, not aborts.
 std::string validateCellConfig(const ExperimentConfig &Config) {
   for (const CacheConfig &Cache : Config.Caches)
     if (!Cache.valid())
@@ -44,8 +46,6 @@ std::string validateCellConfig(const ExperimentConfig &Config) {
       if (Config.Caches[J] == Config.Caches[I])
         return "duplicate cache geometry '" + Config.Caches[I].describe() +
                "'";
-  if (Config.MissPenaltyCycles == 0)
-    return "miss penalty must be positive";
   if (Config.Engine.Scale == 0)
     return "engine scale must be positive";
   for (uint32_t MemoryKb : Config.PagingMemoryKb)
@@ -72,12 +72,16 @@ std::vector<MatrixCell> allocsim::expandMatrix(const MatrixSpec &Spec) {
         Cell.Config.PagingMemoryKb = Spec.PagingMemoryKb;
         Cell.Config.Engine.Seed = cellSeed(Spec, W);
         if (Spec.Base.Inject.enabled()) {
-          // Per-cell fault seed, fixed at expansion from the linear index:
-          // fault sites are decorrelated across cells yet bit-identical at
-          // any job count, like the workload seeds above.
+          // Fault seed, fixed at expansion from the (workload, allocator)
+          // pair ordinal: fault sites are decorrelated across pairs yet
+          // bit-identical at any job count, like the workload seeds above.
+          // Penalty siblings share the seed because they share one
+          // simulation (see runMatrix); with one penalty the ordinal is
+          // the linear index.
           SplitMix64 Mix(Spec.Base.Inject.Seed +
                          0x9e3779b97f4a7c15ULL *
-                             static_cast<uint64_t>(Cell.Coord.Index));
+                             static_cast<uint64_t>(
+                                 W * Spec.Allocators.size() + A));
           Cell.Config.Inject.Seed = Mix.next();
         }
         Cells.push_back(std::move(Cell));
@@ -438,12 +442,12 @@ void ResultStore::writeTelemetryCsv(std::ostream &OS) const {
 
 namespace {
 
+/// Simulates \p Cell; projectPenalty then fills in its coordinates and
+/// penalty for each sibling cell.
 CellOutcome runCell(const MatrixCell &Cell, const MatrixOptions &Options) {
   CellOutcome Outcome;
-  Outcome.Coord = Cell.Coord;
   Outcome.Workload = Cell.Config.Workload;
   Outcome.Allocator = Cell.Config.Allocator;
-  Outcome.PenaltyCycles = Cell.Config.MissPenaltyCycles;
   Outcome.Seed = Cell.Config.Engine.Seed;
 
   std::string Invalid = validateCellConfig(Cell.Config);
@@ -452,10 +456,10 @@ CellOutcome runCell(const MatrixCell &Cell, const MatrixOptions &Options) {
     return Outcome;
   }
 
-  // Graceful degradation: under a fault plan each cell gets RetryLimit
-  // extra attempts. The worker-fault dice are seeded from the cell's own
-  // fault seed (fixed at expansion), so which attempts die — and therefore
-  // every retry outcome — is identical at any job count.
+  // Graceful degradation: under a fault plan each simulation gets
+  // RetryLimit extra attempts. The worker-fault dice are seeded from the
+  // pair's fault seed (fixed at expansion), so which attempts die — and
+  // therefore every retry outcome — is identical at any job count.
   const FaultPlan &Plan = Cell.Config.Inject;
   unsigned MaxAttempts = 1 + (Plan.enabled() ? Plan.RetryLimit : 0);
   Rng WorkerDice(Plan.Seed ^ 0x77666175u /* "wfau" */);
@@ -488,12 +492,38 @@ CellOutcome runCell(const MatrixCell &Cell, const MatrixOptions &Options) {
   return Outcome;
 }
 
+/// Fills penalty cell \p Cell from its pair's simulation \p Simulated: the
+/// penalty enters only each cache's time estimate (see runWithDriver in
+/// Lab.cpp), so every other field is the simulation's own.
+CellOutcome projectPenalty(const CellOutcome &Simulated,
+                           const MatrixCell &Cell) {
+  CellOutcome Outcome = Simulated;
+  Outcome.Coord = Cell.Coord;
+  Outcome.PenaltyCycles = Cell.Config.MissPenaltyCycles;
+  if (Outcome.Ok && Outcome.PenaltyCycles == 0) {
+    // Fails validation like any other unrunnable cell config.
+    Outcome.Ok = false;
+    Outcome.Error = "miss penalty must be positive";
+    Outcome.Result = RunResult();
+    Outcome.Attempts = 0;
+    Outcome.AttemptErrors.clear();
+    return Outcome;
+  }
+  for (CacheResult &Cache : Outcome.Result.Caches)
+    Cache.Time.MissPenalty = Outcome.PenaltyCycles;
+  return Outcome;
+}
+
 } // namespace
 
 ResultStore allocsim::runMatrix(const MatrixSpec &Spec,
                                 const MatrixOptions &Options) {
   std::vector<MatrixCell> Cells = expandMatrix(Spec);
   ResultStore Store(Spec);
+  // One simulation per (workload, allocator) pair, run with the pair's
+  // first-penalty config; its penalty cells are contiguous in Cells.
+  const size_t Penalties = Spec.PenaltiesCycles.size();
+  const size_t Pairs = Penalties == 0 ? 0 : Cells.size() / Penalties;
 
   unsigned Jobs = Options.Jobs;
   if (Jobs == 0) {
@@ -501,11 +531,11 @@ ResultStore allocsim::runMatrix(const MatrixSpec &Spec,
     if (Jobs == 0)
       Jobs = 1;
   }
-  if (Jobs > Cells.size())
-    Jobs = static_cast<unsigned>(Cells.size());
+  if (Jobs > Pairs)
+    Jobs = static_cast<unsigned>(Pairs);
 
   auto Start = std::chrono::steady_clock::now();
-  std::atomic<size_t> NextCell{0};
+  std::atomic<size_t> NextPair{0};
   std::mutex ProgressMutex;
   size_t Completed = 0, Failed = 0;
 
@@ -537,10 +567,13 @@ ResultStore allocsim::runMatrix(const MatrixSpec &Spec,
 
   auto Worker = [&] {
     for (;;) {
-      size_t Index = NextCell.fetch_add(1, std::memory_order_relaxed);
-      if (Index >= Cells.size())
+      size_t Pair = NextPair.fetch_add(1, std::memory_order_relaxed);
+      if (Pair >= Pairs)
         return;
-      FinishCell(Index, runCell(Cells[Index], Options));
+      size_t First = Pair * Penalties;
+      CellOutcome Simulated = runCell(Cells[First], Options);
+      for (size_t P = 0; P != Penalties; ++P)
+        FinishCell(First + P, projectPenalty(Simulated, Cells[First + P]));
     }
   };
 

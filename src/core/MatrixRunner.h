@@ -20,8 +20,16 @@
 /// paper's methodological control (every allocator replays the identical
 /// request sequence) — and never depend on completion order.
 ///
+/// Penalty as a projection: the miss penalty enters only the time estimate
+/// (instructions + misses x penalty), so runMatrix simulates each
+/// (workload, allocator) pair once, with its first-penalty config, and
+/// fills each penalty cell with a copy whose CacheResult::Time.MissPenalty
+/// is that cell's penalty. Every other field of a sibling cell is the
+/// shared simulation's.
+///
 /// Failure policy: a cell that fails validation or whose runner throws is
-/// recorded (error text attributed to the cell's coordinates) and the sweep
+/// recorded (error text attributed to the cell's coordinates; a failed
+/// simulation quarantines every penalty cell of its pair) and the sweep
 /// keeps going; callers inspect ResultStore::failedCount() and exit nonzero.
 ///
 /// Typical use:
@@ -58,8 +66,10 @@ namespace allocsim {
 struct MatrixSpec {
   std::vector<WorkloadId> Workloads;
   std::vector<AllocatorKind> Allocators;
-  /// Miss-penalty axis; affects only the time estimate, but sweeping it is
-  /// how the paper's Section 4.3 sensitivity analysis is produced.
+  /// Miss-penalty axis; affects only the time estimate, so it costs no
+  /// simulation: each (workload, allocator) pair runs once and its penalty
+  /// cells are projections of that run. Sweeping it is how the paper's
+  /// Section 4.3 sensitivity analysis is produced.
   std::vector<uint32_t> PenaltiesCycles = {25};
   std::vector<CacheConfig> Caches;
   std::vector<uint32_t> PagingMemoryKb;
@@ -94,7 +104,9 @@ struct MatrixCell {
 };
 
 /// Expands \p Spec into cells in deterministic linear order, resolving each
-/// cell's complete ExperimentConfig (including its seed) up front.
+/// cell's complete ExperimentConfig (including its seed) up front. Under a
+/// fault plan the fault seed is salted by the (workload, allocator) pair
+/// ordinal, so penalty siblings differ only in MissPenaltyCycles.
 std::vector<MatrixCell> expandMatrix(const MatrixSpec &Spec);
 
 /// What happened to one cell.
@@ -190,10 +202,13 @@ struct MatrixOptions {
   unsigned Jobs = 0;
   /// Invoked (serialized under the runner's lock) after every cell.
   std::function<void(const MatrixProgress &)> Progress;
-  /// Cell execution seam; defaults to runExperiment. Tests inject throwing
-  /// runners to exercise the failure policy. A runner that throws may first
-  /// fill the snapshot with the telemetry it accumulated, which feeds the
-  /// cell's quarantine record (the default runExperiment path does).
+  /// Simulation seam; defaults to runExperiment. It is called once per
+  /// (workload, allocator) pair, with the pair's first-penalty config, and
+  /// its result (or failure) fills every penalty cell of the pair. Tests
+  /// inject throwing runners to exercise the failure policy. A runner that
+  /// throws may first fill the snapshot with the telemetry it accumulated,
+  /// which feeds the quarantine record of each of the pair's cells (the
+  /// default runExperiment path does).
   std::function<RunResult(const ExperimentConfig &, TelemetrySnapshot &)>
       CellRunner;
 };

@@ -74,6 +74,18 @@ int64_t CommandLine::getInt(const std::string &Name) const {
   return Result;
 }
 
+bool CommandLine::getIntInRange(const std::string &Name, int64_t Min,
+                                int64_t Max, int64_t &Value,
+                                std::string &Error) const {
+  // strtoll saturates on overflow, so huge inputs land out of range too.
+  Value = getInt(Name);
+  if (Value >= Min && Value <= Max)
+    return true;
+  Error = "--" + Name + " must be in [" + std::to_string(Min) + ", " +
+          std::to_string(Max) + "], got '" + getString(Name) + "'";
+  return false;
+}
+
 double CommandLine::getDouble(const std::string &Name) const {
   const std::string &Value = getString(Name);
   char *End = nullptr;

@@ -38,6 +38,10 @@ public:
   int64_t getInt(const std::string &Name) const;
   double getDouble(const std::string &Name) const;
   bool getBool(const std::string &Name) const;
+  /// Like getInt, but returns false with a diagnostic in \p Error when the
+  /// value lies outside [Min, Max] (the range of the field it feeds).
+  bool getIntInRange(const std::string &Name, int64_t Min, int64_t Max,
+                     int64_t &Value, std::string &Error) const;
 
   const std::vector<std::string> &positional() const { return Positional; }
 

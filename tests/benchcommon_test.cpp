@@ -4,10 +4,9 @@
 //
 // Coverage for the shared benchmark harness (bench/BenchCommon): the common
 // flag parsing, the PaperData transcription the benches print beside
-// measured values, and — via death tests — runBenchMatrix's fatal paths,
-// which previously had no test exercising them: a failed cell must die with
-// the cell's coordinates in the message, and an unwritable --out-json path
-// must die naming the path.
+// measured values, and — via death tests — runBenchMatrix's fatal paths: a
+// failed cell must die with the cell's coordinates in the message, and an
+// unwritable export path must die naming the <prefix>.<name>.json file.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +20,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 using namespace allocsim;
 
@@ -65,6 +65,20 @@ TEST(BenchOptionsTest, FlagsOverrideDefaults) {
 
 TEST(BenchOptionsTest, BadTelemetryLevelIsRejected) {
   EXPECT_FALSE(parseArgs({"--telemetry=verbose"}).has_value());
+}
+
+TEST(BenchOptionsTest, OutOfRangeScaleAndJobsAreRejected) {
+  // Both flags feed 32-bit fields: a negative or oversized value must be
+  // rejected, not wrapped (--scale 4294967296 would wrap to 0).
+  for (const char *Bad : {"--scale=0", "--scale=-8", "--scale=4294967296",
+                          "--scale=99999999999999999999", "--jobs=-1",
+                          "--jobs=4294967296"})
+    EXPECT_FALSE(parseArgs({Bad}).has_value()) << Bad;
+  std::optional<BenchOptions> Edge =
+      parseArgs({"--scale=4294967295", "--jobs=4294967295"});
+  ASSERT_TRUE(Edge.has_value());
+  EXPECT_EQ(Edge->Scale, 4294967295u);
+  EXPECT_EQ(Edge->Jobs, 4294967295u);
 }
 
 TEST(BenchOptionsTest, HelpExitsWithoutOptions) {
@@ -142,47 +156,58 @@ BenchOptions tinyRunOptions() {
 }
 
 TEST(RunBenchMatrixTest, RunsAllPaperAllocatorsAndExportsJson) {
-  std::string OutPath = ::testing::TempDir() + "/benchcommon_matrix.json";
+  std::string Prefix = ::testing::TempDir() + "/benchcommon_matrix";
   BenchOptions Options = tinyRunOptions();
-  Options.OutJson = OutPath;
+  Options.OutJson = Prefix;
+  Options.OutTelemetryJson = Prefix + "_telemetry";
 
-  ResultStore Store = runBenchMatrix({WorkloadId::Make}, {}, Options);
+  ResultStore Store =
+      runBenchMatrix(paperSpec({WorkloadId::Make}, Options), "probe", Options);
   EXPECT_EQ(Store.size(), 5u);
   EXPECT_EQ(Store.failedCount(), 0u);
   EXPECT_EQ(Store.spec().Allocators.size(), 5u);
 
-  std::ifstream In(OutPath);
-  ASSERT_TRUE(In.good());
-  std::ostringstream Text;
-  Text << In.rdbuf();
-  JsonValue Root;
-  std::string Error;
-  ASSERT_TRUE(JsonValue::parse(Text.str(), Root, Error)) << Error;
-  ASSERT_NE(Root.get("schema"), nullptr);
-  EXPECT_EQ(Root.get("schema")->stringValue(), "allocsim-matrix-v1");
-  std::remove(OutPath.c_str());
+  // Each export lands at <prefix>.<matrix name>.json.
+  for (const auto &[Path, Schema] :
+       {std::pair<std::string, std::string>{Prefix + ".probe.json",
+                                            "allocsim-matrix-v1"},
+        {Prefix + "_telemetry.probe.json", "allocsim-telemetry-v1"}}) {
+    std::ifstream In(Path);
+    ASSERT_TRUE(In.good()) << Path;
+    std::ostringstream Text;
+    Text << In.rdbuf();
+    JsonValue Root;
+    std::string Error;
+    ASSERT_TRUE(JsonValue::parse(Text.str(), Root, Error)) << Error;
+    ASSERT_NE(Root.get("schema"), nullptr);
+    EXPECT_EQ(Root.get("schema")->stringValue(), Schema);
+    std::remove(Path.c_str());
+  }
 }
 
 TEST(RunBenchMatrixTest, FailedCellDiesWithCellAttribution) {
   BenchOptions Options = tinyRunOptions();
   Options.Scale = 0; // fails cell validation: scale must be positive
-  EXPECT_DEATH(runBenchMatrix({WorkloadId::Make}, {}, Options),
-               "bench matrix cell failed: workload make, allocator "
-               "FirstFit: engine scale must be positive");
+  EXPECT_DEATH(
+      runBenchMatrix(paperSpec({WorkloadId::Make}, Options), "probe", Options),
+      "bench matrix cell failed: workload make, allocator "
+      "FirstFit: engine scale must be positive");
 }
 
 TEST(RunBenchMatrixTest, UnwritableJsonExportDiesNamingThePath) {
   BenchOptions Options = tinyRunOptions();
-  Options.OutJson = "/nonexistent-dir/matrix.json";
-  EXPECT_DEATH(runBenchMatrix({WorkloadId::Make}, {}, Options),
-               "cannot write '/nonexistent-dir/matrix.json'");
+  Options.OutJson = "/nonexistent-dir/matrix";
+  EXPECT_DEATH(
+      runBenchMatrix(paperSpec({WorkloadId::Make}, Options), "probe", Options),
+      "cannot write '/nonexistent-dir/matrix.probe.json'");
 }
 
 TEST(RunBenchMatrixTest, UnwritableTelemetryExportDiesNamingThePath) {
   BenchOptions Options = tinyRunOptions();
-  Options.OutTelemetryJson = "/nonexistent-dir/telemetry.json";
-  EXPECT_DEATH(runBenchMatrix({WorkloadId::Make}, {}, Options),
-               "cannot write '/nonexistent-dir/telemetry.json'");
+  Options.OutTelemetryJson = "/nonexistent-dir/telemetry";
+  EXPECT_DEATH(
+      runBenchMatrix(paperSpec({WorkloadId::Make}, Options), "probe", Options),
+      "cannot write '/nonexistent-dir/telemetry.probe.json'");
 }
 
 } // namespace

@@ -152,6 +152,14 @@ TEST(CliMatrixTest, MalformedSpecsExitNonzeroWithDiagnostic) {
       {"--allocators FirstFit,Nope", "unknown allocator"},
       {"--matrix workloads=gs", "at least one allocator"},
       {"--matrix \"workloads=gs;allocators=BSD;caches=16,\"", "empty item"},
+      // Numeric flags are range-checked instead of wrapping to 32 bits.
+      {"--scale -8", "--scale must be in [1, 4294967295]"},
+      {"--scale 0", "--scale must be in [1, 4294967295]"},
+      {"--scale 4294967297", "--scale must be in [1, 4294967295]"},
+      {"--jobs -1", "--jobs must be in [0, 4294967295]"},
+      {"--conform true --conform-scale 0", "--conform-scale must be in"},
+      {"--conform true --conform-scale -64", "--conform-scale must be in"},
+      {"--check full --check-interval -1", "--check-interval must be in"},
   };
   for (const BadInvocation &Invocation : Bad) {
     std::string Output;

@@ -4,9 +4,10 @@
 // Jobs=8 must produce bit-identical RunResults in every cell — instruction
 // splits, reference counts, per-cache CacheStats, paging points, allocator
 // stats — because each cell's configuration (including its seed) is fixed
-// during expansion, never by scheduling order. Plus the failed-cell policy:
-// a failing cell is recorded with its coordinates and the rest of the sweep
-// completes.
+// during expansion, never by scheduling order. Plus the penalty projection
+// (one simulation per workload x allocator pair, identical to simulating
+// each penalty cell on its own) and the failed-cell policy: a failing cell
+// is recorded with its coordinates and the rest of the sweep completes.
 //
 //===----------------------------------------------------------------------===//
 
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <sstream>
 #include <stdexcept>
 
@@ -198,14 +200,16 @@ TEST(MatrixRunnerTest, CoordinateLookupMatchesLinearOrder) {
   MatrixSpec Spec = smallSpec();
   MatrixOptions Options;
   Options.Jobs = 4;
-  // Synthetic runner: encode the coordinates into counters so at() can be
-  // checked without paying for real simulations.
+  // Synthetic runner: encode the pair's coordinates into counters so at()
+  // can be checked without paying for real simulations. The one cache
+  // result carries the penalty the runner was called with.
   Options.CellRunner = [](const ExperimentConfig &Config,
                           TelemetrySnapshot &) {
     RunResult Result;
     Result.TotalRefs = static_cast<uint64_t>(Config.Workload) * 10000 +
-                       static_cast<uint64_t>(Config.Allocator) * 100 +
-                       Config.MissPenaltyCycles;
+                       static_cast<uint64_t>(Config.Allocator) * 100;
+    Result.Caches.emplace_back();
+    Result.Caches[0].Time.MissPenalty = Config.MissPenaltyCycles;
     return Result;
   };
   ResultStore Store = runMatrix(Spec, Options);
@@ -213,49 +217,163 @@ TEST(MatrixRunnerTest, CoordinateLookupMatchesLinearOrder) {
     for (size_t A = 0; A != Spec.Allocators.size(); ++A)
       for (size_t P = 0; P != Spec.PenaltiesCycles.size(); ++P) {
         const CellOutcome &Cell = Store.at(W, A, P);
+        EXPECT_EQ(Cell.Coord.Index, Cell.Coord.WorkloadIdx * 6 +
+                                        Cell.Coord.AllocatorIdx * 2 +
+                                        Cell.Coord.PenaltyIdx);
+        EXPECT_EQ(Cell.Coord.PenaltyIdx, P);
+        EXPECT_EQ(Cell.PenaltyCycles, Spec.PenaltiesCycles[P]);
         EXPECT_EQ(Cell.Result.TotalRefs,
                   static_cast<uint64_t>(Spec.Workloads[W]) * 10000 +
-                      static_cast<uint64_t>(Spec.Allocators[A]) * 100 +
-                      Spec.PenaltiesCycles[P]);
+                      static_cast<uint64_t>(Spec.Allocators[A]) * 100);
+        // The penalty is projected onto the shared simulation.
+        ASSERT_EQ(Cell.Result.Caches.size(), 1u);
+        EXPECT_EQ(Cell.Result.Caches[0].Time.MissPenalty,
+                  Spec.PenaltiesCycles[P]);
       }
 }
 
+TEST(MatrixRunnerTest, RunnerIsCalledOncePerWorkloadAllocatorPair) {
+  // The miss penalty only scales the time estimate, so a two-penalty spec
+  // simulates each (workload, allocator) pair once, with its first penalty.
+  MatrixSpec Spec = smallSpec();
+  ASSERT_EQ(Spec.PenaltiesCycles.size(), 2u);
+  MatrixOptions Options;
+  Options.Jobs = 4;
+  std::atomic<size_t> Calls{0};
+  std::atomic<size_t> FirstPenaltyCalls{0};
+  Options.CellRunner = [&](const ExperimentConfig &Config,
+                           TelemetrySnapshot &) {
+    ++Calls;
+    if (Config.MissPenaltyCycles == Spec.PenaltiesCycles[0])
+      ++FirstPenaltyCalls;
+    return RunResult();
+  };
+  ResultStore Store = runMatrix(Spec, Options);
+  EXPECT_EQ(Store.size(), 12u);
+  EXPECT_EQ(Store.failedCount(), 0u);
+  EXPECT_EQ(Calls.load(), Spec.Workloads.size() * Spec.Allocators.size());
+  EXPECT_EQ(FirstPenaltyCalls.load(), Calls.load());
+}
+
+TEST(MatrixRunnerTest, PenaltyCellsMatchTheirOwnSimulation) {
+  // Every projected cell serializes exactly like runExperiment on that
+  // cell's own config: matrix JSON (with time estimates), golden JSON and
+  // full telemetry.
+  MatrixSpec Spec;
+  Spec.Workloads = {WorkloadId::Cfrac, WorkloadId::Gawk};
+  Spec.Allocators = {AllocatorKind::FirstFit, AllocatorKind::GnuLocal};
+  Spec.PenaltiesCycles = {25, 100};
+  Spec.Caches = {CacheConfig{16 * 1024, 32, 1}, CacheConfig{64 * 1024, 32, 1}};
+  Spec.PagingMemoryKb = {256};
+  Spec.Base.Engine.Scale = 1024;
+  Spec.Base.Telemetry = TelemetryLevel::Full;
+  MatrixOptions Options;
+  Options.Jobs = 4;
+  ResultStore Store = runMatrix(Spec, Options);
+  ASSERT_EQ(Store.failedCount(), 0u);
+
+  // All three serializations of a one-cell store holding \p Cell.
+  auto Serialize = [&](const CellOutcome &Cell) {
+    MatrixSpec One = Spec;
+    One.Workloads = {Cell.Workload};
+    One.Allocators = {Cell.Allocator};
+    One.PenaltiesCycles = {Cell.PenaltyCycles};
+    ResultStore Single(One);
+    Single.put(0, Cell);
+    std::ostringstream OS;
+    Single.writeJson(OS);
+    Single.writeGoldenJson(OS);
+    Single.writeTelemetryJson(OS);
+    return OS.str();
+  };
+  std::vector<MatrixCell> Cells = expandMatrix(Spec);
+  ASSERT_EQ(Cells.size(), Store.size());
+  for (size_t I = 0; I != Cells.size(); ++I) {
+    CellOutcome Own = Store.cell(I);
+    Own.Result = runExperiment(Cells[I].Config);
+    EXPECT_FALSE(Own.Result.Telemetry.empty());
+    EXPECT_EQ(Serialize(Store.cell(I)), Serialize(Own)) << "cell " << I;
+  }
+}
+
+TEST(MatrixRunnerTest, FaultSeedsAreSharedByPenaltySiblings) {
+  // Under a multi-penalty fault plan the fault seed is salted by the pair
+  // ordinal: sibling cells differ only in MissPenaltyCycles, and distinct
+  // pairs get distinct fault seeds.
+  MatrixSpec Spec = smallSpec();
+  DiagEngine Diags;
+  Spec.Base.Inject =
+      parseFaultPlan("flip:rate=1e-4;cell:rate=0.5;seed=11", Diags);
+  ASSERT_EQ(Diags.errorCount(), 0u);
+  std::vector<MatrixCell> Cells = expandMatrix(Spec);
+  ASSERT_EQ(Cells.size(), 12u);
+  for (size_t I = 0; I != Cells.size(); I += 2) {
+    const ExperimentConfig &A = Cells[I].Config;
+    const ExperimentConfig &B = Cells[I + 1].Config;
+    EXPECT_EQ(A.Workload, B.Workload);
+    EXPECT_EQ(A.Allocator, B.Allocator);
+    EXPECT_EQ(A.Engine.Seed, B.Engine.Seed);
+    EXPECT_EQ(A.Inject.Seed, B.Inject.Seed);
+    EXPECT_EQ(A.Inject.Spec, B.Inject.Spec);
+    EXPECT_EQ(A.Caches.size(), B.Caches.size());
+    EXPECT_EQ(A.PagingMemoryKb, B.PagingMemoryKb);
+    EXPECT_NE(A.MissPenaltyCycles, B.MissPenaltyCycles);
+    if (I != 0) {
+      EXPECT_NE(A.Inject.Seed, Cells[I - 2].Config.Inject.Seed);
+    }
+  }
+
+  // The shared seed means a shared fault history: both penalty cells of a
+  // pair retry and fail identically.
+  MatrixOptions Options;
+  Options.Jobs = 4;
+  Options.CellRunner = [](const ExperimentConfig &, TelemetrySnapshot &) {
+    return RunResult();
+  };
+  ResultStore Store = runMatrix(Spec, Options);
+  for (size_t I = 0; I != Store.size(); I += 2) {
+    EXPECT_EQ(Store.cell(I).Ok, Store.cell(I + 1).Ok);
+    EXPECT_EQ(Store.cell(I).AttemptErrors, Store.cell(I + 1).AttemptErrors);
+  }
+}
+
 TEST(MatrixRunnerTest, FailedCellIsAttributedAndOthersComplete) {
+  // A failed simulation quarantines both penalty cells of its pair, each
+  // attributed to its own coordinates; every other cell completes.
   MatrixSpec Spec = smallSpec();
   MatrixOptions Options;
   Options.Jobs = 8;
   Options.CellRunner = [](const ExperimentConfig &Config,
                           TelemetrySnapshot &) -> RunResult {
     if (Config.Workload == WorkloadId::Make &&
-        Config.Allocator == AllocatorKind::QuickFit &&
-        Config.MissPenaltyCycles == 100)
+        Config.Allocator == AllocatorKind::QuickFit)
       throw std::runtime_error("injected cell failure");
     RunResult Result;
     Result.TotalRefs = 1;
     return Result;
   };
   ResultStore Store = runMatrix(Spec, Options);
-  EXPECT_EQ(Store.failedCount(), 1u);
+  EXPECT_EQ(Store.failedCount(), 2u);
 
-  size_t FailedSeen = 0;
+  std::vector<uint32_t> FailedPenalties;
   for (size_t I = 0; I != Store.size(); ++I) {
     const CellOutcome &Cell = Store.cell(I);
     if (!Cell.Ok) {
-      ++FailedSeen;
       // The error is attributed to the right cell.
       EXPECT_EQ(Cell.Workload, WorkloadId::Make);
       EXPECT_EQ(Cell.Allocator, AllocatorKind::QuickFit);
-      EXPECT_EQ(Cell.PenaltyCycles, 100u);
+      EXPECT_EQ(Cell.Coord.Index, I);
       EXPECT_EQ(Cell.Error, "injected cell failure");
+      FailedPenalties.push_back(Cell.PenaltyCycles);
     } else {
       EXPECT_EQ(Cell.Result.TotalRefs, 1u);
       EXPECT_TRUE(Cell.Error.empty());
     }
   }
-  EXPECT_EQ(FailedSeen, 1u);
+  EXPECT_EQ(FailedPenalties, (std::vector<uint32_t>{25, 100}));
 
-  // The failed cell still serializes (with its error) instead of breaking
-  // the export.
+  // The failed cells still serialize (with their error) instead of
+  // breaking the export.
   std::ostringstream Json;
   Store.writeJson(Json);
   EXPECT_NE(Json.str().find("injected cell failure"), std::string::npos);
@@ -263,16 +381,16 @@ TEST(MatrixRunnerTest, FailedCellIsAttributedAndOthersComplete) {
 
 TEST(MatrixRunnerTest, FailedCellPreservesPartialTelemetry) {
   // Regression: a cell whose runner dies mid-run used to lose everything it
-  // had measured. The runner seam now hands the worker a snapshot it can
-  // fill before throwing, and the quarantine record keeps it.
+  // had measured. The runner seam hands the worker a snapshot it can fill
+  // before throwing, and the quarantine record of each of the pair's
+  // penalty cells keeps it.
   MatrixSpec Spec = smallSpec();
   MatrixOptions Options;
   Options.Jobs = 8;
   Options.CellRunner = [](const ExperimentConfig &Config,
                           TelemetrySnapshot &Partial) -> RunResult {
     if (Config.Workload == WorkloadId::Make &&
-        Config.Allocator == AllocatorKind::QuickFit &&
-        Config.MissPenaltyCycles == 100) {
+        Config.Allocator == AllocatorKind::QuickFit) {
       Partial.Counters["alloc.malloc.calls"] = 4242;
       Partial.Counters["fault.oom.sbrk_denied"] = 7;
       throw std::runtime_error("worker crashed mid-run");
@@ -282,7 +400,7 @@ TEST(MatrixRunnerTest, FailedCellPreservesPartialTelemetry) {
     return Result;
   };
   ResultStore Store = runMatrix(Spec, Options);
-  EXPECT_EQ(Store.failedCount(), 1u);
+  EXPECT_EQ(Store.failedCount(), 2u);
 
   for (size_t I = 0; I != Store.size(); ++I) {
     const CellOutcome &Cell = Store.cell(I);
@@ -299,7 +417,7 @@ TEST(MatrixRunnerTest, FailedCellPreservesPartialTelemetry) {
   }
 
   // ... and they serialize: the telemetry export emits the partial snapshot
-  // for the failed cell instead of an empty object.
+  // for the failed cells instead of an empty object.
   std::ostringstream Json;
   Store.writeTelemetryJson(Json);
   EXPECT_NE(Json.str().find("\"alloc.malloc.calls\": 4242"),
@@ -520,4 +638,12 @@ TEST(MatrixRunnerTest, DegenerateCellConfigsFailGracefully) {
   Spec.Caches = {{16 * 1024, 32, 1}, {64 * 1024, 32, 2}};
   ResultStore Mixed = runMatrix(Spec, {});
   EXPECT_TRUE(Mixed.at(0, 0, 0).Ok) << Mixed.at(0, 0, 0).Error;
+
+  // A zero penalty fails its own cell only; its sibling keeps the shared
+  // simulation.
+  Spec.PenaltiesCycles = {0, 25};
+  ResultStore ZeroPenalty = runMatrix(Spec, {});
+  EXPECT_FALSE(ZeroPenalty.at(0, 0, 0).Ok);
+  EXPECT_EQ(ZeroPenalty.at(0, 0, 0).Error, "miss penalty must be positive");
+  EXPECT_TRUE(ZeroPenalty.at(0, 0, 1).Ok) << ZeroPenalty.at(0, 0, 1).Error;
 }

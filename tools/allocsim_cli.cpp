@@ -146,16 +146,25 @@ int main(int Argc, char **Argv) {
   if (!Cli.parse(Argc, Argv))
     return 2;
 
+  // Numeric flags feeding 32-bit fields are range-checked, not wrapped.
+  std::string Error;
+  int64_t Jobs = 0, Scale = 0, ConformScale = 0, CheckInterval = 0;
+  if (!Cli.getIntInRange("jobs", 0, UINT32_MAX, Jobs, Error) ||
+      !Cli.getIntInRange("scale", 1, UINT32_MAX, Scale, Error) ||
+      !Cli.getIntInRange("conform-scale", 1, UINT32_MAX, ConformScale,
+                         Error) ||
+      !Cli.getIntInRange("check-interval", 0, UINT32_MAX, CheckInterval,
+                         Error))
+    return usageError(Error);
+
   if (Cli.getBool("conform") || Cli.getBool("conform-json")) {
     ConformOptions Conform;
     for (const std::string &Name :
          splitSpecList(Cli.getString("conform-suite"), ','))
       Conform.Suites.push_back(Name);
-    Conform.Scale = static_cast<uint32_t>(Cli.getInt("conform-scale"));
-    if (Conform.Scale == 0)
-      return usageError("--conform-scale must be positive");
+    Conform.Scale = static_cast<uint32_t>(ConformScale);
     Conform.Seed = static_cast<uint64_t>(Cli.getInt("seed"));
-    Conform.Jobs = static_cast<unsigned>(Cli.getInt("jobs"));
+    Conform.Jobs = static_cast<unsigned>(Jobs);
     Conform.ExpectationsDir = Cli.getString("expectations");
     const char *Update = std::getenv("ALLOCSIM_UPDATE_CONFORMANCE");
     Conform.UpdateExpectations = Update && *Update && *Update != '0';
@@ -183,14 +192,12 @@ int main(int Argc, char **Argv) {
     return summarizeLint(Inputs).clean() ? 0 : 1;
   }
 
-  std::string Error;
   MatrixSpec Spec;
-  Spec.Base.Engine.Scale = static_cast<uint32_t>(Cli.getInt("scale"));
+  Spec.Base.Engine.Scale = static_cast<uint32_t>(Scale);
   Spec.Base.Engine.Seed = static_cast<uint64_t>(Cli.getInt("seed"));
   Spec.Base.EmulateBoundaryTags = Cli.getBool("tags");
   Spec.Base.Check.Level = parseCheckLevel(Cli.getString("check"));
-  Spec.Base.Check.IntervalOps =
-      static_cast<uint32_t>(Cli.getInt("check-interval"));
+  Spec.Base.Check.IntervalOps = static_cast<uint32_t>(CheckInterval);
   if (!tryParseTelemetryLevel(Cli.getString("telemetry"),
                               Spec.Base.Telemetry))
     return usageError("bad --telemetry '" + Cli.getString("telemetry") +
@@ -239,7 +246,7 @@ int main(int Argc, char **Argv) {
   }
 
   MatrixOptions Options;
-  Options.Jobs = static_cast<unsigned>(Cli.getInt("jobs"));
+  Options.Jobs = static_cast<unsigned>(Jobs);
   if (Cli.getBool("progress"))
     Options.Progress = [](const MatrixProgress &Progress) {
       std::cerr << "matrix: " << Progress.Completed << "/" << Progress.Total
