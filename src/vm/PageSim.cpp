@@ -10,14 +10,39 @@
 
 using namespace allocsim;
 
-PageSim::PageSim(uint32_t SimPageBytes, uint32_t SlotCapacity)
-    : PageBytes(SimPageBytes) {
+namespace {
+/// Fibonacci hashing multiplier (2^64 / golden ratio).
+constexpr uint64_t HashMultiplier = 0x9E3779B97F4A7C15ull;
+constexpr uint32_t InitialTableShift = 64 - 6;
+constexpr uint32_t InitialTreeSize = 64;
+} // namespace
+
+PageSim::PageSim(uint32_t SimPageBytes)
+    : PageBytes(SimPageBytes), TableShift(InitialTableShift) {
   if (PageBytes == 0 || (PageBytes & (PageBytes - 1)) != 0)
     reportFatalError("page size must be a power of two");
-  if (SlotCapacity < 16)
-    reportFatalError("slot capacity too small");
   PageShift = static_cast<uint32_t>(__builtin_ctz(PageBytes));
-  Tree.assign(SlotCapacity + 1, 0);
+  Table.assign(size_t(1) << (64 - TableShift), PageEntry{0, 0});
+  Tree.assign(InitialTreeSize, 0);
+  DistanceCounts.assign(2 * HeadPages, 0);
+}
+
+PageSim::PageEntry &PageSim::lookup(uint64_t Page) {
+  const size_t Mask = Table.size() - 1;
+  for (size_t I = (Page * HashMultiplier) >> TableShift;; I = (I + 1) & Mask) {
+    PageEntry &Entry = Table[I];
+    if (Entry.Slot == 0 || Entry.Page == Page)
+      return Entry;
+  }
+}
+
+void PageSim::growTable() {
+  std::vector<PageEntry> Old(Table.size() * 2, PageEntry{0, 0});
+  Old.swap(Table);
+  --TableShift;
+  for (const PageEntry &Entry : Old)
+    if (Entry.Slot != 0)
+      lookup(Entry.Page) = Entry;
 }
 
 void PageSim::fenwickAdd(uint32_t Slot, int Delta) {
@@ -33,27 +58,30 @@ uint32_t PageSim::fenwickPrefix(uint32_t Slot) const {
 }
 
 void PageSim::compact() {
-  // Renumber active slots 1..P preserving order.
-  std::vector<std::pair<uint32_t, uint64_t>> Order;
-  Order.reserve(LastSlot.size());
-  for (const auto &[Page, Slot] : LastSlot)
-    Order.emplace_back(Slot, Page);
-  std::sort(Order.begin(), Order.end());
+  // Renumber the active tail slots 1..ActiveSlots preserving order: bucket
+  // the tail's table entries by old slot, then walk the buckets.
+  std::vector<uint32_t> EntryBySlot(NextSlot, 0); // table index + 1
+  for (size_t I = 0; I != Table.size(); ++I) {
+    const uint32_t Slot = Table[I].Slot;
+    if (Slot != 0 && Slot != InHead)
+      EntryBySlot[Slot] = static_cast<uint32_t>(I + 1);
+  }
+  uint32_t Slot = 0;
+  for (uint32_t Index : EntryBySlot)
+    if (Index != 0)
+      Table[Index - 1].Slot = ++Slot;
+  assert(ActiveSlots == Slot && "active slot count diverged");
+  NextSlot = Slot + 1;
 
   // If the working set approaches the slot capacity, compaction alone
   // cannot free enough slots; grow the tree.
-  if (2 * (Order.size() + 16) > Tree.size())
-    Tree.resize(2 * (Order.size() + 16));
-
-  std::fill(Tree.begin(), Tree.end(), 0);
-  uint32_t Slot = 0;
-  for (const auto &[OldSlot, Page] : Order) {
-    ++Slot;
-    LastSlot[Page] = Slot;
-    fenwickAdd(Slot, 1);
+  if (2 * (size_t(Slot) + 16) > Tree.size())
+    Tree.resize(2 * (size_t(Slot) + 16));
+  // Slots 1..Slot are active, and node I covers slots (I - lowbit(I), I].
+  for (uint32_t I = 1; I != Tree.size(); ++I) {
+    const uint32_t Low = I - (I & (~I + 1));
+    Tree[I] = Low >= Slot ? 0 : std::min(I, Slot) - Low;
   }
-  NextSlot = Slot + 1;
-  assert(ActiveSlots == Slot && "active slot count diverged");
 }
 
 void PageSim::attachTelemetry(Telemetry *Registry) {
@@ -77,6 +105,58 @@ void PageSim::flushRunTelemetry() {
   CurrentRunLen = 0;
 }
 
+void PageSim::countDistance(uint64_t Distance) {
+  if (Distance >= DistanceCounts.size())
+    DistanceCounts.resize(
+        std::max<size_t>(2 * DistanceCounts.size(), Distance + 1), 0);
+  ++DistanceCounts[Distance];
+}
+
+void PageSim::demote(uint64_t Page) {
+  if (NextSlot >= Tree.size())
+    compact();
+  const uint32_t Slot = NextSlot++;
+  lookup(Page).Slot = Slot;
+  fenwickAdd(Slot, 1);
+  ++ActiveSlots;
+}
+
+void PageSim::changePage(uint64_t Page) {
+  assert((HeadSize == 0 || Page != Head[0]) && "not a page change");
+  // Search the head and shift it down one place in the same pass; Carry
+  // ends as the page that falls off the old head's end.
+  uint64_t Carry = Page;
+  for (uint32_t D = 0; D != HeadSize; ++D) {
+    const uint64_t Current = Head[D];
+    Head[D] = Carry;
+    if (Current == Page) {
+      countDistance(D);
+      return;
+    }
+    Carry = Current;
+  }
+
+  PageEntry &Entry = lookup(Page);
+  if (Entry.Slot == 0) {
+    ++ColdFaults;
+    Entry = {Page, InHead};
+    if (2 * ++TableUsed > Table.size())
+      growTable();
+  } else {
+    // Not in the head, so in the tail. Distance = the head's pages plus
+    // the tail pages demoted after this one = active slots beyond its own.
+    const uint32_t OldSlot = Entry.Slot;
+    Entry.Slot = InHead;
+    countDistance(HeadPages + ActiveSlots - fenwickPrefix(OldSlot));
+    fenwickAdd(OldSlot, -1);
+    --ActiveSlots;
+  }
+  if (HeadSize != HeadPages)
+    Head[HeadSize++] = Carry;
+  else
+    demote(Carry);
+}
+
 void PageSim::touchPages(const MemAccess &Acc) {
   // A multi-byte access that straddles a page boundary touches both pages;
   // with 4 KB pages and word accesses this is effectively never taken, but
@@ -86,45 +166,25 @@ void PageSim::touchPages(const MemAccess &Acc) {
     ++References;
     if (RunLenHist)
       noteRunPage(Page, 1);
-    // Fast path: a re-reference to the most recent page has stack distance
-    // zero and leaves the LRU order unchanged. This covers the bulk of a
-    // program's references (object sweeps, stack traffic).
-    if (HaveRecent && Page == MostRecentPage) {
+    // A re-reference to the most recent page has stack distance zero and
+    // leaves the LRU order unchanged. This covers the bulk of a program's
+    // references (object sweeps, stack traffic).
+    if (HeadSize != 0 && Page == Head[0]) {
       ++ZeroDistanceHits;
       continue;
     }
-    if (NextSlot >= Tree.size())
-      compact();
-
-    auto [It, Inserted] = LastSlot.try_emplace(Page, 0);
-    if (Inserted) {
-      ++ColdFaults;
-    } else {
-      uint32_t OldSlot = It->second;
-      // Distance = number of distinct pages referenced after this page's
-      // previous access = active slots beyond OldSlot.
-      uint32_t Distance = ActiveSlots - fenwickPrefix(OldSlot);
-      DistanceHist.add(Distance);
-      fenwickAdd(OldSlot, -1);
-      --ActiveSlots;
-    }
-    uint32_t Slot = NextSlot++;
-    It->second = Slot;
-    fenwickAdd(Slot, 1);
-    ++ActiveSlots;
-    MostRecentPage = Page;
-    HaveRecent = true;
+    changePage(Page);
   }
 }
 
 void PageSim::accessBatch(const MemAccess *Batch, size_t Count) {
   size_t I = 0;
   while (I != Count) {
-    if (HaveRecent) {
+    if (HeadSize != 0) {
       // Run-length skip: count records wholly inside the MRU page. Checking
       // First and Last against the same page also routes straddling
       // accesses to touchPages, where they split per page as always.
-      const uint64_t Recent = MostRecentPage;
+      const uint64_t Recent = Head[0];
       const uint32_t Shift = PageShift;
       const size_t RunStart = I;
       while (I != Count) {
@@ -156,10 +216,18 @@ uint64_t PageSim::faults(uint64_t MemoryPages) const {
     return References;
   // Zero-distance re-references always hit for MemoryPages >= 1.
   uint64_t Faults = ColdFaults;
-  for (const auto &[Distance, Count] : DistanceHist)
-    if (Distance >= MemoryPages)
-      Faults += Count;
+  for (uint64_t Distance = MemoryPages; Distance < DistanceCounts.size();
+       ++Distance)
+    Faults += DistanceCounts[Distance];
   return Faults;
+}
+
+Histogram PageSim::distanceHistogram() const {
+  Histogram Hist;
+  for (size_t Distance = 1; Distance < DistanceCounts.size(); ++Distance)
+    if (DistanceCounts[Distance] != 0)
+      Hist.add(Distance, DistanceCounts[Distance]);
+  return Hist;
 }
 
 double PageSim::faultRate(uint64_t MemoryPages) const {

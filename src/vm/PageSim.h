@@ -12,9 +12,15 @@
 /// memory size at once — which is how the paper draws fault-rate-vs-memory
 /// curves (Figures 2 and 3).
 ///
-/// Stack distances are computed with a Fenwick tree over access-time slots
-/// (O(log n) per reference) with periodic slot compaction so memory stays
-/// proportional to the number of distinct pages, not the trace length.
+/// The LRU stack is kept in two parts. The HeadPages most recent pages sit
+/// in an exact move-to-front array: a page found at position d has stack
+/// distance d, and the hit only rotates the array. Most page changes end
+/// there. Pages below the head live in a Fenwick tree over demotion-time
+/// slots (O(log n) per reference): every tail page is older than every head
+/// page, so a tail page's distance is HeadPages plus the number of active
+/// slots after its own. Slots are compacted when they run out, and the
+/// tree grows with the working set, so memory stays proportional to the
+/// number of distinct pages, not the trace length.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,8 +30,8 @@
 #include "mem/AccessSink.h"
 #include "support/Histogram.h"
 
+#include <array>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace allocsim {
@@ -37,24 +43,20 @@ class TelemetryHistogram;
 class PageSim final : public AccessSink {
 public:
   /// \p PageBytes must be a power of two; the paper uses 4 KB pages.
-  /// \p SlotCapacity bounds the Fenwick tree between compactions; the
-  /// default suits production traces, tests shrink it to exercise
-  /// compaction.
-  explicit PageSim(uint32_t PageBytes = 4096,
-                   uint32_t SlotCapacity = 1u << 21);
+  explicit PageSim(uint32_t PageBytes = 4096);
 
   /// A run of consecutive records falling wholly inside the most recently
   /// used page is a run of zero-stack-distance hits, so the whole run
-  /// collapses to two counter additions — no hash lookup, no Fenwick work.
-  /// Records that leave the page (or straddle one) take touchPages one at
-  /// a time.
+  /// collapses to two counter additions — no table lookup, no head or tree
+  /// work. Records that leave the page (or straddle one) take touchPages
+  /// one at a time.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
   /// Number of references processed.
   uint64_t references() const { return References; }
 
   /// Number of distinct pages ever touched.
-  uint64_t distinctPages() const { return LastSlot.size(); }
+  uint64_t distinctPages() const { return TableUsed; }
 
   /// Number of page faults for an LRU-managed memory of \p MemoryPages
   /// resident pages. Cold (first-touch) faults are always included.
@@ -70,8 +72,9 @@ public:
 
   /// The stack-distance histogram for distances >= 1 (distance = number of
   /// distinct pages referenced since the previous reference to the same
-  /// page). Zero-distance re-references are counted separately.
-  const Histogram &distanceHistogram() const { return DistanceHist; }
+  /// page), built from the per-distance counters on each call.
+  /// Zero-distance re-references are counted separately.
+  Histogram distanceHistogram() const;
 
   /// Re-references to the most recently used page (stack distance zero).
   uint64_t zeroDistanceHits() const { return ZeroDistanceHits; }
@@ -90,12 +93,38 @@ public:
   void flushRunTelemetry();
 
 private:
-  /// The page-change path: touches every page \p Access covers, updating
-  /// the stack distances and the LRU order.
+  /// Size of the exact move-to-front head of the LRU stack. Most page
+  /// changes of the paper's workloads land within it.
+  static constexpr uint32_t HeadPages = 32;
+
+  /// One page-table entry. Slot is the page's tail slot (>= 1), InHead
+  /// while the page sits in the head, or 0 for an empty table entry.
+  struct PageEntry {
+    uint64_t Page;
+    uint32_t Slot;
+  };
+  static constexpr uint32_t InHead = ~0u;
+
+  /// Touches every page \p Access covers, updating the stack distances and
+  /// the LRU order.
   void touchPages(const MemAccess &Access);
+
+  /// The page-change path for a page other than the most recent one.
+  void changePage(uint64_t Page);
+
+  /// Moves \p Page, the head's least recent page, to the tail's newest
+  /// slot.
+  void demote(uint64_t Page);
+
+  void countDistance(uint64_t Distance);
 
   /// Per-page-touch run tracking for the run-length histogram.
   void noteRunPage(uint64_t Page, uint64_t Touches);
+
+  /// Returns the table entry for \p Page; a missing page gets an empty
+  /// entry (Slot 0) that the caller fills.
+  PageEntry &lookup(uint64_t Page);
+  void growTable();
 
   void fenwickAdd(uint32_t Slot, int Delta);
   uint32_t fenwickPrefix(uint32_t Slot) const;
@@ -104,19 +133,27 @@ private:
   uint32_t PageBytes;
   uint32_t PageShift;
 
-  /// page-number -> most recent slot (1-based).
-  std::unordered_map<uint64_t, uint32_t> LastSlot;
-  /// Fenwick tree over slots; Tree[i] covers active-slot counts.
+  /// Head[0] is the most recent page; HeadSize grows to HeadPages and stays
+  /// there. The tail is empty until the head is full.
+  std::array<uint64_t, HeadPages> Head{};
+  uint32_t HeadSize = 0;
+
+  /// Open-addressing page -> slot table, linear probing, power-of-two size,
+  /// at most half full.
+  std::vector<PageEntry> Table;
+  uint64_t TableUsed = 0;
+  uint32_t TableShift;
+
+  /// Fenwick tree over tail slots; Tree[i] covers active-slot counts.
   std::vector<uint32_t> Tree;
   uint32_t NextSlot = 1;
   uint32_t ActiveSlots = 0;
 
-  Histogram DistanceHist;
+  /// DistanceCounts[d] = page changes at stack distance d (index 0 unused).
+  std::vector<uint64_t> DistanceCounts;
   uint64_t ColdFaults = 0;
   uint64_t References = 0;
   uint64_t ZeroDistanceHits = 0;
-  uint64_t MostRecentPage = 0;
-  bool HaveRecent = false;
 
   /// Run-length telemetry; RunLenHist null when telemetry is off.
   TelemetryHistogram *RunLenHist = nullptr;

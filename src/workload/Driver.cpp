@@ -7,6 +7,7 @@
 #include "support/Error.h"
 
 #include <cassert>
+#include <cmath>
 
 using namespace allocsim;
 
@@ -14,19 +15,30 @@ Driver::Driver(Allocator &DriverAlloc, MemoryBus &DriverBus,
                CostModel &DriverCost, double AppInstrPerRef,
                uint32_t StackWindow)
     : Alloc(DriverAlloc), Bus(DriverBus), Cost(DriverCost),
-      InstrPerRef(AppInstrPerRef), StackWindowBytes(StackWindow) {
+      StackWindowBytes(StackWindow) {
   assert(StackWindowBytes >= 64 && (StackWindowBytes & 3) == 0 &&
          "degenerate stack window");
+  if (!std::isfinite(AppInstrPerRef) || AppInstrPerRef < 0 ||
+      AppInstrPerRef >= 0x1p32)
+    reportFatalError("instructions per reference must be finite, "
+                     "non-negative and below 2^32");
+  // Both steps are exact: the fraction keeps the ratio's low bits, and
+  // scaling by 2^64 only moves the exponent.
+  const double Whole = std::floor(AppInstrPerRef);
+  const double Frac = std::ldexp(AppInstrPerRef - Whole, 64);
+  if (Frac != std::floor(Frac))
+    reportFatalError("instructions per reference: fraction needs more "
+                     "than 64 bits");
+  InstrWhole = static_cast<uint64_t>(Whole);
+  InstrFrac = static_cast<uint64_t>(Frac);
 }
 
-void Driver::chargeRef() {
-  ++AppRefs;
-  InstrDebt += InstrPerRef;
-  auto Whole = static_cast<uint64_t>(InstrDebt);
-  if (Whole > 0) {
-    Cost.chargeApp(Whole);
-    InstrDebt -= static_cast<double>(Whole);
-  }
+void Driver::chargeRefs(uint32_t Refs) {
+  using Uint128 = unsigned __int128;
+  AppRefs += Refs;
+  const Uint128 Frac = Uint128(InstrFrac) * Refs + FracDebt;
+  FracDebt = static_cast<uint64_t>(Frac);
+  Cost.chargeApp(InstrWhole * Refs + static_cast<uint64_t>(Frac >> 64));
 }
 
 void Driver::attachTelemetry(Telemetry *Registry) {
@@ -132,18 +144,19 @@ void Driver::touchObject(Addr Address, uint32_t ObjectWords, uint32_t Words,
   assert(ObjectWords > 0 && "touch of empty object");
   // Sequential field sweep from the object's start, wrapping for touches
   // longer than the object.
+  uint32_t Offset = 0;
   for (uint32_t I = 0; I != Words; ++I) {
-    Addr Word = Address + 4 * (I % ObjectWords);
-    Bus.emit(Word, 4, Kind, AccessSource::Application);
-    chargeRef();
+    Bus.emit(Address + 4 * Offset, 4, Kind, AccessSource::Application);
+    if (++Offset == ObjectWords)
+      Offset = 0;
   }
+  chargeRefs(Words);
 }
 
 void Driver::touchStack(uint32_t Words, AccessKind Kind) {
   // Zig-zag sweep: the push/pop address pattern of call frames.
   for (uint32_t I = 0; I != Words; ++I) {
     Bus.emit(StackBase + StackPos, 4, Kind, AccessSource::Application);
-    chargeRef();
     if (StackPos + 4 >= StackWindowBytes)
       StackDir = -1;
     else if (StackPos == 0)
@@ -151,4 +164,5 @@ void Driver::touchStack(uint32_t Words, AccessKind Kind) {
     StackPos = static_cast<uint32_t>(static_cast<int>(StackPos) +
                                      4 * StackDir);
   }
+  chargeRefs(Words);
 }

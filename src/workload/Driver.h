@@ -16,7 +16,9 @@
 ///    miss rate.
 ///  * Every application reference charges the profile's
 ///    instructions-per-reference to the cost model, reproducing the paper's
-///    instruction totals.
+///    instruction totals. The ratio is split exactly into a whole part and a
+///    64-bit binary fraction, and each touch is charged once, in O(1): the
+///    instruction clock is only read between events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,7 +43,8 @@ class Driver {
 public:
   /// \p InstrPerRef is the application's instructions-per-data-reference
   /// ratio (Table 2); \p StackWindowBytes bounds the simulated stack
-  /// segment's working set.
+  /// segment's working set. A ratio that is not finite, is negative or
+  /// reaches 2^32, or whose fraction needs more than 64 bits, is fatal.
   Driver(Allocator &Alloc, MemoryBus &Bus, CostModel &Cost,
          double InstrPerRef, uint32_t StackWindowBytes = 2048);
 
@@ -87,7 +90,9 @@ private:
   void touchObject(Addr Address, uint32_t ObjectWords, uint32_t Words,
                    AccessKind Kind);
   void touchStack(uint32_t Words, AccessKind Kind);
-  void chargeRef();
+  /// Charges \p Refs application references: floor(Refs * ratio) plus the
+  /// carry of the running fraction, exactly.
+  void chargeRefs(uint32_t Refs);
 
   struct ObjectInfo {
     Addr Address;
@@ -99,8 +104,12 @@ private:
   Allocator &Alloc;
   MemoryBus &Bus;
   CostModel &Cost;
-  double InstrPerRef;
-  double InstrDebt = 0;
+  /// Instructions per reference = InstrWhole + InstrFrac / 2^64, exactly;
+  /// FracDebt is the fraction of an instruction carried so far, in 2^-64
+  /// units.
+  uint64_t InstrWhole = 0;
+  uint64_t InstrFrac = 0;
+  uint64_t FracDebt = 0;
 
   std::unordered_map<uint32_t, ObjectInfo> Objects;
   uint64_t AppRefs = 0;

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 using namespace allocsim;
@@ -15,24 +16,128 @@ void touchPage(PageSim &Sim, uint64_t Page) {
               AccessSource::Application});
 }
 
-/// Reference LRU simulation: direct stack implementation.
-uint64_t referenceLruFaults(const std::vector<uint64_t> &Pages,
-                            uint64_t MemoryPages) {
-  std::vector<uint64_t> Stack;
-  uint64_t Faults = 0;
-  for (uint64_t Page : Pages) {
-    auto It = std::find(Stack.begin(), Stack.end(), Page);
-    if (It == Stack.end()) {
-      ++Faults;
-    } else {
-      auto Depth = static_cast<uint64_t>(It - Stack.begin());
-      if (Depth >= MemoryPages)
-        ++Faults;
-      Stack.erase(It);
+/// Naive LRU oracle: a move-to-front list of every page ever touched,
+/// searched linearly. Mirrors PageSim's observable state.
+class MoveToFrontLru {
+public:
+  explicit MoveToFrontLru(uint32_t PageBytes)
+      : Shift(static_cast<uint32_t>(__builtin_ctz(PageBytes))) {}
+
+  void access(const MemAccess &Access) {
+    const FrameRange Pages = frameRange(Access, Shift);
+    for (uint64_t Page = Pages.First; Page <= Pages.Last; ++Page) {
+      ++References;
+      auto It = std::find(Stack.begin(), Stack.end(), Page);
+      if (It == Stack.end()) {
+        ++ColdFaults;
+        Stack.insert(Stack.begin(), Page);
+        continue;
+      }
+      const auto Distance = static_cast<uint64_t>(It - Stack.begin());
+      if (Distance == 0)
+        ++ZeroDistanceHits;
+      else
+        Distances.add(Distance);
+      std::rotate(Stack.begin(), It, It + 1);
     }
-    Stack.insert(Stack.begin(), Page);
   }
-  return Faults;
+
+  uint32_t Shift;
+  std::vector<uint64_t> Stack;
+  Histogram Distances;
+  uint64_t References = 0;
+  uint64_t ColdFaults = 0;
+  uint64_t ZeroDistanceHits = 0;
+};
+
+/// Compares every observable of \p Sim with the oracle's.
+void expectMatchesOracle(const PageSim &Sim, const MoveToFrontLru &Oracle) {
+  EXPECT_EQ(Sim.references(), Oracle.References);
+  EXPECT_EQ(Sim.zeroDistanceHits(), Oracle.ZeroDistanceHits);
+  ASSERT_EQ(Sim.distinctPages(), Oracle.Stack.size());
+  const Histogram Hist = Sim.distanceHistogram();
+  ASSERT_EQ(Hist.distinct(), Oracle.Distances.distinct());
+  EXPECT_TRUE(std::equal(Hist.begin(), Hist.end(), Oracle.Distances.begin()))
+      << "stack-distance histograms differ";
+  // Expected faults by suffix sum: every distance >= the memory size
+  // faults, on top of the cold faults.
+  const uint64_t Pages = Oracle.Stack.size();
+  std::vector<uint64_t> Expected(Pages + 2, Oracle.ColdFaults);
+  for (const auto &[Distance, Count] : Oracle.Distances)
+    Expected[Distance] += Count;
+  for (uint64_t Memory = Pages; Memory >= 1; --Memory)
+    Expected[Memory] += Expected[Memory + 1] - Oracle.ColdFaults;
+  Expected[0] = Oracle.References;
+  for (uint64_t Memory = 0; Memory <= Pages + 1; ++Memory)
+    ASSERT_EQ(Sim.faults(Memory), Expected[Memory]) << "memory=" << Memory;
+}
+
+uint64_t nextRandom(uint64_t &State) {
+  State = State * 6364136223846793005ull + 1442695040888963407ull;
+  return State >> 17;
+}
+
+/// A stream over \p Pages distinct page numbers of \p PageBytes bytes,
+/// scattered over the whole 32-bit space and always including the top page,
+/// so records can run past 4 GiB. Half the references revisit one of the
+/// last few pages (shallow distances); the rest pick any page. A quarter of
+/// the records start two bytes before a page end, so those of three bytes
+/// or more straddle into the next page.
+std::vector<MemAccess> oracleStream(uint32_t PageBytes, uint32_t Pages,
+                                    size_t Length, uint64_t Seed) {
+  const uint64_t PageCount = (uint64_t(1) << 32) / PageBytes;
+  std::vector<uint64_t> PageNumbers{PageCount - 1};
+  uint64_t State = Seed;
+  while (PageNumbers.size() < Pages) {
+    const uint64_t Page = nextRandom(State) % PageCount;
+    if (std::find(PageNumbers.begin(), PageNumbers.end(), Page) ==
+        PageNumbers.end())
+      PageNumbers.push_back(Page);
+  }
+  static constexpr uint8_t Sizes[] = {0, 1, 2, 4, 4, 4, 8};
+  std::vector<MemAccess> Stream;
+  std::vector<uint64_t> Recent(8, PageNumbers[0]);
+  for (size_t I = 0; I != Length; ++I) {
+    const uint64_t Pick = nextRandom(State);
+    const uint64_t Page = (Pick & 1) ? Recent[(Pick >> 1) % Recent.size()]
+                                     : PageNumbers[(Pick >> 4) % Pages];
+    Recent[I % Recent.size()] = Page;
+    const uint64_t Offset = (Pick >> 5) % 4 == 0 && PageBytes > 1
+                                ? PageBytes - 2
+                                : nextRandom(State) % PageBytes;
+    const uint8_t Size = Sizes[nextRandom(State) % std::size(Sizes)];
+    const auto Kind = (Pick >> 3) & 1 ? AccessKind::Write : AccessKind::Read;
+    Stream.push_back({static_cast<Addr>(Page * PageBytes + Offset), Size,
+                      Kind, AccessSource::Application});
+  }
+  return Stream;
+}
+
+/// Runs \p Stream through the oracle and through PageSim twice: one record
+/// at a time and in random chunks.
+void checkAgainstOracle(uint32_t PageBytes,
+                        const std::vector<MemAccess> &Stream, uint64_t Seed) {
+  MoveToFrontLru Oracle(PageBytes);
+  PageSim Single(PageBytes), Chunked(PageBytes);
+  for (const MemAccess &Access : Stream) {
+    Oracle.access(Access);
+    Single.access(Access);
+  }
+  uint64_t State = Seed;
+  for (size_t I = 0; I != Stream.size();) {
+    const size_t Chunk =
+        std::min<size_t>(1 + nextRandom(State) % 300, Stream.size() - I);
+    Chunked.accessBatch(Stream.data() + I, Chunk);
+    I += Chunk;
+  }
+  {
+    SCOPED_TRACE("one record at a time");
+    expectMatchesOracle(Single, Oracle);
+  }
+  {
+    SCOPED_TRACE("chunked");
+    expectMatchesOracle(Chunked, Oracle);
+  }
 }
 
 } // namespace
@@ -78,35 +183,48 @@ TEST(PageSimTest, StackDistanceDefinition) {
 }
 
 TEST(PageSimTest, MatchesReferenceLruOnRandomTrace) {
-  // Property: Fenwick stack distances must agree with a brute-force LRU
-  // stack at every memory size.
-  std::vector<uint64_t> Pages;
+  // Property: head-and-tail stack distances must agree with a brute-force
+  // LRU stack at every memory size.
+  std::vector<MemAccess> Stream;
   uint64_t State = 12345;
   for (int I = 0; I < 3000; ++I) {
     State = State * 6364136223846793005ull + 1442695040888963407ull;
-    Pages.push_back((State >> 33) % 40);
+    Stream.push_back({static_cast<Addr>((State >> 33) % 40 * 4096), 4,
+                      AccessKind::Read, AccessSource::Application});
   }
-  PageSim Sim;
-  for (uint64_t Page : Pages)
-    touchPage(Sim, Page);
-  for (uint64_t Memory : {1u, 2u, 3u, 5u, 10u, 20u, 39u, 40u, 64u})
-    EXPECT_EQ(Sim.faults(Memory), referenceLruFaults(Pages, Memory))
-        << "memory=" << Memory;
+  checkAgainstOracle(4096, Stream, 12345);
 }
 
 TEST(PageSimTest, CompactionPreservesResults) {
-  // Force many compactions with a tiny slot capacity and compare against a
-  // same-trace simulator with a huge capacity.
-  PageSim Small(4096, 64), Big(4096, 1 << 20);
+  // 200 pages keep about 170 below the head, so the slot tree runs out of
+  // slots and compacts every couple of hundred page changes; the
+  // distances must still match the oracle's move-to-front list.
+  std::vector<MemAccess> Stream;
   uint64_t State = 99;
   for (int I = 0; I < 20000; ++I) {
     State = State * 2862933555777941757ull + 3037000493ull;
-    uint64_t Page = (State >> 33) % 25;
-    touchPage(Small, Page);
-    touchPage(Big, Page);
+    const uint64_t Page = (State >> 33) % 200;
+    Stream.push_back({static_cast<Addr>(Page * 4096), 4, AccessKind::Read,
+                      AccessSource::Application});
   }
-  for (uint64_t Memory : {1u, 4u, 12u, 24u, 25u})
-    EXPECT_EQ(Small.faults(Memory), Big.faults(Memory));
+  checkAgainstOracle(4096, Stream, 99);
+}
+
+TEST(PageSimTest, MatchesMoveToFrontOracle) {
+  // Page counts below, at and above the head size, up to a working set
+  // whose table and slot tree grow several times. With 1-byte pages every
+  // record of n bytes touches n pages, so fewer page numbers suffice.
+  for (uint32_t PageBytes : {1u, 64u, 4096u})
+    for (uint32_t Pages : {1u, 2u, 31u, 32u, 33u, 100u, 1000u, 5000u}) {
+      if (PageBytes == 1 && Pages > 1000)
+        continue;
+      SCOPED_TRACE(testing::Message()
+                   << "page bytes " << PageBytes << ", pages " << Pages);
+      const uint64_t Seed = PageBytes * 10007ull + Pages;
+      checkAgainstOracle(PageBytes,
+                         oracleStream(PageBytes, Pages, 8 * Pages + 2000, Seed),
+                         Seed);
+    }
 }
 
 TEST(PageSimTest, InclusionProperty) {

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 using namespace allocsim;
 
 namespace {
@@ -217,12 +220,15 @@ TEST(WorkloadEngineTest, CfracExtensionProfileRuns) {
 namespace {
 
 struct DriverHarness {
+  explicit DriverHarness(double InstrPerRef = 4.0)
+      : Drive(*Alloc, Bus, Cost, InstrPerRef) {}
+
   MemoryBus Bus;
   SimHeap Heap{Bus};
   CostModel Cost;
   std::unique_ptr<Allocator> Alloc =
       createAllocator(AllocatorKind::Bsd, Heap, Cost);
-  Driver Drive{*Alloc, Bus, Cost, 4.0};
+  Driver Drive;
 };
 
 } // namespace
@@ -257,10 +263,9 @@ TEST(DriverTest, TouchWrapsWithinObject) {
   H.Bus.flush();
   Addr Base = H.Drive.addressOf(1);
   ASSERT_EQ(Sink.records().size(), 5u);
-  for (const MemAccess &Access : Sink.records()) {
-    EXPECT_GE(Access.Address, Base);
-    EXPECT_LT(Access.Address, Base + 8);
-  }
+  const Addr Expected[] = {Base, Base + 4, Base, Base + 4, Base};
+  for (size_t I = 0; I != 5; ++I)
+    EXPECT_EQ(Sink.records()[I].Address, Expected[I]) << "word " << I;
 }
 
 TEST(DriverTest, StackTouchesStayInWindow) {
@@ -284,14 +289,87 @@ TEST(DriverTest, ChargesInstructionsPerRef) {
 }
 
 TEST(DriverTest, FractionalInstrPerRefAccumulates) {
-  MemoryBus Bus;
-  SimHeap Heap(Bus);
-  CostModel Cost;
-  std::unique_ptr<Allocator> Alloc =
-      createAllocator(AllocatorKind::Bsd, Heap, Cost);
-  Driver Drive(*Alloc, Bus, Cost, 3.37);
-  Drive.execute(AllocEvent::makeStackTouch(10000, AccessKind::Read));
-  EXPECT_NEAR(double(Cost.appInstructions()), 33700.0, 2.0);
+  DriverHarness H(3.37);
+  H.Drive.execute(AllocEvent::makeStackTouch(10000, AccessKind::Read));
+  EXPECT_EQ(H.Cost.appInstructions(), 33700u);
+}
+
+namespace {
+
+/// Parameter: a WorkloadId ordinal (that profile's ratio), or one past the
+/// last profile for 3.0 and two past for 3.5.
+class DriverChargeTest : public testing::TestWithParam<int> {};
+
+double chargeTestRatio(int Param) {
+  constexpr int Profiles = static_cast<int>(WorkloadId::Cfrac) + 1;
+  if (Param < Profiles)
+    return getProfile(static_cast<WorkloadId>(Param)).instrPerRef();
+  return Param == Profiles ? 3.0 : 3.5;
+}
+
+} // namespace
+
+TEST_P(DriverChargeTest, MatchesPerReferenceDoubleDebt) {
+  // The per-touch fixed-point charge must equal, after every touch, the
+  // per-reference double accumulator it replaced, replayed here as the
+  // reference.
+  const double Ratio = chargeTestRatio(GetParam());
+  DriverHarness H(Ratio);
+
+  double Debt = 0;
+  uint64_t Expected = 0;
+  uint64_t Refs = 0;
+  uint64_t State = 0x5eed + GetParam();
+  while (Refs < 50'000'000) {
+    State = State * 6364136223846793005ull + 1442695040888963407ull;
+    const uint64_t Pick = State >> 33;
+    uint32_t Words = 0;
+    switch (Pick % 8) {
+    case 0:
+      break;
+    case 1:
+      Words = 1;
+      break;
+    case 2:
+      Words = 100'000 + static_cast<uint32_t>(Pick >> 3) % 1'000'000;
+      break;
+    default:
+      Words = static_cast<uint32_t>(Pick >> 3) % 2000;
+      break;
+    }
+    H.Drive.execute(AllocEvent::makeStackTouch(Words, AccessKind::Read));
+    for (uint32_t I = 0; I != Words; ++I) {
+      Debt += Ratio;
+      const auto Whole = static_cast<uint64_t>(Debt);
+      if (Whole > 0) {
+        Expected += Whole;
+        Debt -= static_cast<double>(Whole);
+      }
+    }
+    Refs += Words;
+    ASSERT_EQ(H.Cost.appInstructions(), Expected)
+        << "ratio " << Ratio << " after " << Refs << " references";
+  }
+  EXPECT_EQ(H.Drive.appRefs(), Refs);
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryRatio, DriverChargeTest,
+                         testing::Range(0, static_cast<int>(WorkloadId::Cfrac) +
+                                               3));
+
+TEST(DriverDeathTest, RejectsBadInstrPerRef) {
+  // Non-finite, negative, too large, and a fraction below 2^-64.
+  for (double Bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(), -1.0, -1e-9,
+                     std::ldexp(1.0, 32), 1e-30})
+    EXPECT_DEATH(DriverHarness{Bad}, "instructions per reference") << Bad;
+  // The extreme accepted ratios charge exactly.
+  DriverHarness Largest(std::ldexp(1.0, 32) - 0.5);
+  Largest.Drive.execute(AllocEvent::makeStackTouch(2, AccessKind::Read));
+  EXPECT_EQ(Largest.Cost.appInstructions(), 8'589'934'591u);
+  DriverHarness Finest(std::ldexp(1.0, -64));
+  Finest.Drive.execute(AllocEvent::makeStackTouch(3, AccessKind::Read));
+  EXPECT_EQ(Finest.Cost.appInstructions(), 0u);
 }
 
 TEST(DriverTest, FreeOfUnknownIdIsFatal) {
