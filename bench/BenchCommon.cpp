@@ -4,9 +4,11 @@
 
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 
 using namespace allocsim;
 
@@ -33,12 +35,12 @@ allocsim::parseBenchOptions(int Argc, const char *const *Argv,
   int64_t Scale = 0, Jobs = 0;
   std::string Error;
   if (!Cli.getIntInRange("scale", 1, UINT32_MAX, Scale, Error) ||
-      !Cli.getIntInRange("jobs", 0, UINT32_MAX, Jobs, Error)) {
+      !Cli.getIntInRange("jobs", 0, UINT32_MAX, Jobs, Error) ||
+      !Cli.getUint64("seed", Options.Seed, Error)) {
     std::cerr << "error: " << Error << "\n";
     return std::nullopt;
   }
   Options.Scale = static_cast<uint32_t>(Scale);
-  Options.Seed = static_cast<uint64_t>(Cli.getInt("seed"));
   Options.Csv = Cli.getBool("csv");
   Options.Jobs = static_cast<uint32_t>(Jobs);
   Options.OutJson = Cli.getString("out-json");
@@ -92,6 +94,29 @@ MatrixSpec allocsim::paperSpec(const std::vector<WorkloadId> &Workloads,
   Spec.Workloads = Workloads;
   Spec.Allocators.assign(PaperAllocators, PaperAllocators + 5);
   Spec.Base = baseConfig(Workloads.front(), Options);
+  return Spec;
+}
+
+MatrixSpec allocsim::paperStoreSpec(const BenchOptions &Options) {
+  std::vector<WorkloadId> Workloads(std::begin(PaperWorkloads),
+                                    std::end(PaperWorkloads));
+  Workloads.push_back(WorkloadId::GsSmall);
+  Workloads.push_back(WorkloadId::GsMedium);
+  MatrixSpec Spec = paperSpec(Workloads, Options);
+  Spec.Caches = paperCacheSweep();
+  std::set_union(Fig2MemoryKb.begin(), Fig2MemoryKb.end(),
+                 Fig3MemoryKb.begin(), Fig3MemoryKb.end(),
+                 std::back_inserter(Spec.PagingMemoryKb));
+  return Spec;
+}
+
+MatrixSpec allocsim::tagsStoreSpec(const BenchOptions &Options) {
+  MatrixSpec Spec = paperStoreSpec(Options);
+  Spec.Workloads.resize(std::size(PaperWorkloads));
+  Spec.Allocators = {AllocatorKind::GnuLocal};
+  Spec.Caches = {CacheConfig{64 * 1024, 32, 1}};
+  Spec.PagingMemoryKb.clear();
+  Spec.Base.EmulateBoundaryTags = true;
   return Spec;
 }
 

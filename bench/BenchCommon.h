@@ -81,6 +81,25 @@ std::string formatRate(double Value);
 MatrixSpec paperSpec(const std::vector<WorkloadId> &Workloads,
                      const BenchOptions &Options);
 
+/// Memory sizes (KB) at which Figures 2 (GhostScript) and 3 (PTC) sample
+/// the page-fault curve.
+inline const std::vector<uint32_t> Fig2MemoryKb = {
+    256, 512, 768, 1024, 1536, 2048, 2560, 3072, 3584, 4096, 5120, 6144, 8192};
+inline const std::vector<uint32_t> Fig3MemoryKb = {
+    128, 256, 512, 768, 1024, 1536, 2048, 2560, 3072, 3584, 4096, 5120};
+
+/// The one store every paper artifact but Table 6 reads: the five
+/// applications (first, in PaperWorkloads order) plus gs-small and
+/// gs-medium x PaperAllocators, the direct-mapped paperCacheSweep() and the
+/// page-fault curve at every Figure 2 and 3 memory size.
+MatrixSpec paperStoreSpec(const BenchOptions &Options);
+
+/// Table 6's sibling of paperStoreSpec: GNU LOCAL with emulated boundary
+/// tags on the five applications and the 64K cache. The applications keep
+/// their ordinals, so each cell replays the request stream of the store's
+/// GNU LOCAL cell for the same application.
+MatrixSpec tagsStoreSpec(const BenchOptions &Options);
+
 /// Runs \p Spec through the MatrixRunner at Options.Jobs workers. Exports
 /// the store to <out-json>.<Name>.json and its telemetry to
 /// <out-telemetry-json>.<Name>.json when those flags are set, and dies

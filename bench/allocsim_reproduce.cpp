@@ -1,26 +1,21 @@
 //===- bench/allocsim_reproduce.cpp - Every paper artifact, one binary ----===//
 //
-// Regenerates Tables 2-6 and Figures 1-8 of the paper. Each distinct
-// simulation runs once: four experiment matrices go through the
+// Regenerates Tables 2-6 and Figures 1-8 of the paper, as the paper does:
+// every allocator runs on the same request stream for each program, once,
+// and every artifact is read from those runs. Two matrices go through the
 // MatrixRunner (--jobs workers; results are bit-identical at any job
-// count) and every artifact is rendered from their ResultStores.
+// count):
 //
-//   paper        espresso, gs, ptc, gawk, make, gs-small and gs-medium x
-//                the five paper allocators; a 64K direct-mapped cache and
-//                the page-fault curve at every Figure 2 and 3 memory size.
-//                Feeds Tables 2 and 3, Figures 1-3 and Table 6's no-tags
-//                rows.
-//   tags         the five applications x GNU LOCAL with emulated 8-byte
-//                boundary tags, 64K cache. Feeds Table 6's tag rows.
-//   time         the five applications x the five allocators, 16K and 64K
-//                caches. Feeds Figures 4/5 and Tables 4/5.
-//   gs-missrate  GS small/medium/large x the five allocators, the 16K-256K
-//                direct-mapped sweep. Feeds Figures 6-8.
+//   paper  espresso, gs, ptc, gawk, make, gs-small and gs-medium x the five
+//          paper allocators; the 16K-256K direct-mapped sweep and the
+//          page-fault curve at every Figure 2 and 3 memory size
+//          (paperStoreSpec). Feeds every artifact but Table 6's tag rows.
+//   tags   the five applications x GNU LOCAL with emulated 8-byte boundary
+//          tags, 64K cache (tagsStoreSpec). Each cell replays the stream of
+//          paper's GNU LOCAL cell for the same application.
 //
-// paper and tags replay --seed verbatim in every cell; time and gs-missrate
-// derive one seed per workload from it (MatrixSpec::SaltSeedPerWorkload).
-// --out-json P and --out-telemetry-json P export each matrix to
-// P.<matrix>.json.
+// Renderers find workloads and caches in a store by value. --out-json P and
+// --out-telemetry-json P export each matrix to P.<matrix>.json.
 //
 //===----------------------------------------------------------------------===//
 
@@ -28,15 +23,29 @@
 #include "PaperData.h"
 
 #include <algorithm>
+#include <cassert>
 #include <iostream>
-#include <iterator>
 
 using namespace allocsim;
 
 namespace {
 
-/// Index of GNU LOCAL in PaperAllocators.
-constexpr size_t GnuLocalIdx = 4;
+/// Position of \p Value on a store axis; the renderers only ask for
+/// values their spec builder put there.
+template <typename T> size_t indexOf(const std::vector<T> &Axis, T Value) {
+  auto It = std::find(Axis.begin(), Axis.end(), Value);
+  assert(It != Axis.end() && "value missing from the matrix axis");
+  return static_cast<size_t>(It - Axis.begin());
+}
+
+size_t workloadIdx(const ResultStore &Store, WorkloadId Workload) {
+  return indexOf(Store.spec().Workloads, Workload);
+}
+
+/// Index of the \p Kb direct-mapped, 32-byte-block cache.
+size_t cacheIdx(const ResultStore &Store, uint32_t Kb) {
+  return indexOf(Store.spec().Caches, CacheConfig{Kb * 1024, 32, 1});
+}
 
 /// The scale a workload actually runs at (PTC-like workloads are clamped to
 /// keep their live heap).
@@ -50,8 +59,8 @@ uint32_t effectiveScale(WorkloadId Workload, const BenchOptions &Options) {
 /// FIRSTFIT baseline (allocator 0 of \p Paper), next to the paper's values.
 /// Measured totals are scaled back up for an apples-to-apples comparison.
 void renderWorkloadTable(const ResultStore &Paper,
-                         const std::vector<size_t> &Rows, bool ScaleColumn,
-                         const BenchOptions &Options) {
+                         const std::vector<WorkloadId> &Rows,
+                         bool ScaleColumn, const BenchOptions &Options) {
   std::vector<std::string> Headers = {
       ScaleColumn ? "program" : "input", "instr(M)", "paper", "refs(M)",
       "paper", "heap KB", "paper", "alloc'd(K)", "paper", "freed(K)",
@@ -59,10 +68,9 @@ void renderWorkloadTable(const ResultStore &Paper,
   if (ScaleColumn)
     Headers.push_back("scale");
   Table Out(Headers);
-  for (size_t W : Rows) {
-    WorkloadId Workload = Paper.spec().Workloads[W];
+  for (WorkloadId Workload : Rows) {
     const AppProfile &Profile = getProfile(Workload);
-    const RunResult &Result = Paper.at(W, 0).Result;
+    const RunResult &Result = Paper.at(workloadIdx(Paper, Workload), 0).Result;
     uint32_t Scale = effectiveScale(Workload, Options);
 
     Out.beginRow();
@@ -95,28 +103,30 @@ void renderMallocTime(const ResultStore &Paper, const BenchOptions &Options) {
   for (size_t A = 0; A != 5; ++A) {
     Out.beginRow();
     Out.cell(allocatorKindName(PaperAllocators[A]));
-    for (size_t W = 0; W != 5; ++W)
-      Out.num(100.0 * Paper.at(W, A).Result.allocInstrFraction(), 1);
+    for (WorkloadId Workload : PaperWorkloads)
+      Out.num(100.0 *
+                  Paper.at(workloadIdx(Paper, Workload), A)
+                      .Result.allocInstrFraction(),
+              1);
   }
   renderTable(Out, Options, "% of instructions in malloc/free");
 }
 
-/// Figures 2 and 3: faults per reference at each of \p MemoryKb (4 KB
-/// pages, LRU) plus each allocator's total heap, the figure's x-axis end
-/// symbols. Shape: the sequential fits (FIRSTFIT above all) degrade far
+/// Figures 2 and 3: faults per reference of \p Workload at each of
+/// \p MemoryKb (4 KB pages, LRU) plus each allocator's total heap, the
+/// figure's x-axis end symbols. Shape: the sequential fits (FIRSTFIT above all) degrade far
 /// faster as memory shrinks; BSD needs the most memory; the segregated
 /// allocators are the most resilient.
-void renderPageFaults(const ResultStore &Paper, size_t W,
+void renderPageFaults(const ResultStore &Paper, WorkloadId Workload,
                       const std::vector<uint32_t> &MemoryKb,
                       const BenchOptions &Options) {
+  size_t W = workloadIdx(Paper, Workload);
   std::vector<std::string> Headers = {"memory KB"};
   for (AllocatorKind Allocator : PaperAllocators)
     Headers.emplace_back(allocatorKindName(Allocator));
   Table Out(Headers);
-  const std::vector<uint32_t> &Sampled = Paper.spec().PagingMemoryKb;
   for (uint32_t Kb : MemoryKb) {
-    size_t Point = std::find(Sampled.begin(), Sampled.end(), Kb) -
-                   Sampled.begin();
+    size_t Point = indexOf(Paper.spec().PagingMemoryKb, Kb);
     Out.beginRow();
     Out.num(uint64_t(Kb));
     for (size_t A = 0; A != 5; ++A)
@@ -137,11 +147,13 @@ void renderPageFaults(const ResultStore &Paper, size_t W,
 }
 
 /// Figures 4 and 5: execution time normalized to FIRSTFIT within each
-/// application, instructions only and with the 25-cycle penalty on cache
-/// \p CacheIdx of \p Time, plus the miss share of execution time. Shape:
-/// misses add up to ~25% and the addition differs sharply by allocator.
-void renderNormalizedTime(const ResultStore &Time, size_t CacheIdx,
+/// application, instructions only and with the 25-cycle penalty on the
+/// \p CacheKb cache of \p Store, plus the miss share of execution time.
+/// Shape: misses add up to ~25% and the addition differs sharply by
+/// allocator.
+void renderNormalizedTime(const ResultStore &Store, uint32_t CacheKb,
                           const BenchOptions &Options) {
+  size_t CacheIdx = cacheIdx(Store, CacheKb);
   std::vector<std::string> Headers = {"allocator"};
   for (WorkloadId Workload : PaperWorkloads)
     Headers.push_back(std::string(workloadName(Workload)) + " base/total");
@@ -149,9 +161,10 @@ void renderNormalizedTime(const ResultStore &Time, size_t CacheIdx,
   for (size_t A = 0; A != 5; ++A) {
     Out.beginRow();
     Out.cell(allocatorKindName(PaperAllocators[A]));
-    for (size_t W = 0; W != 5; ++W) {
-      const RunResult &Run = Time.at(W, A).Result;
-      const RunResult &FirstFit = Time.at(W, 0).Result;
+    for (WorkloadId Workload : PaperWorkloads) {
+      size_t W = workloadIdx(Store, Workload);
+      const RunResult &Run = Store.at(W, A).Result;
+      const RunResult &FirstFit = Store.at(W, 0).Result;
       double BaseNorm = double(Run.totalInstructions()) /
                         double(FirstFit.totalInstructions());
       double TotalNorm = Run.Caches[CacheIdx].Time.totalCycles() /
@@ -167,8 +180,9 @@ void renderNormalizedTime(const ResultStore &Time, size_t CacheIdx,
   for (size_t A = 0; A != 5; ++A) {
     Share.beginRow();
     Share.cell(allocatorKindName(PaperAllocators[A]));
-    for (size_t W = 0; W != 5; ++W) {
-      const TimeEstimate &Est = Time.at(W, A).Result.Caches[CacheIdx].Time;
+    for (WorkloadId Workload : PaperWorkloads) {
+      const TimeEstimate &Est =
+          Store.at(workloadIdx(Store, Workload), A).Result.Caches[CacheIdx].Time;
       Share.num(100.0 * Est.missCycles() / Est.totalCycles(), 1);
     }
   }
@@ -178,12 +192,14 @@ void renderNormalizedTime(const ResultStore &Time, size_t CacheIdx,
 /// Figures 6-8: miss rate vs direct-mapped cache size for each GS input.
 /// Shape: FIRSTFIT is highest at every size, GNU G++ second; differences
 /// are muted for the small input.
-void renderGsMissRate(const ResultStore &MissRate,
-                      const BenchOptions &Options) {
-  const char *Figures[] = {"Figure 6 (GS-Small)", "Figure 7 (GS-Medium)",
-                           "Figure 8 (GS-Large)"};
-  const std::vector<CacheConfig> &Caches = MissRate.spec().Caches;
-  for (size_t W = 0; W != 3; ++W) {
+void renderGsMissRate(const ResultStore &Store, const BenchOptions &Options) {
+  const std::pair<WorkloadId, const char *> Figures[] = {
+      {WorkloadId::GsSmall, "Figure 6 (GS-Small)"},
+      {WorkloadId::GsMedium, "Figure 7 (GS-Medium)"},
+      {WorkloadId::Gs, "Figure 8 (GS-Large)"}};
+  const std::vector<CacheConfig> &Caches = Store.spec().Caches;
+  for (const auto &[Workload, Figure] : Figures) {
+    size_t W = workloadIdx(Store, Workload);
     std::vector<std::string> Headers = {"cache KB"};
     for (AllocatorKind Allocator : PaperAllocators)
       Headers.emplace_back(allocatorKindName(Allocator));
@@ -192,19 +208,19 @@ void renderGsMissRate(const ResultStore &MissRate,
       Out.beginRow();
       Out.num(uint64_t(Caches[C].SizeBytes / 1024));
       for (size_t A = 0; A != 5; ++A)
-        Out.num(100.0 * MissRate.at(W, A).Result.Caches[C].Stats.missRate(),
-                2);
+        Out.num(100.0 * Store.at(W, A).Result.Caches[C].Stats.missRate(), 2);
     }
-    renderTable(Out, Options, std::string(Figures[W]) + ": miss rate (%)");
+    renderTable(Out, Options, std::string(Figure) + ": miss rate (%)");
   }
 }
 
 /// Tables 4 and 5: estimated total seconds and seconds waiting on misses
-/// of cache \p CacheIdx of \p Time, scaled back to paper volume, next to
-/// the paper's published values.
-void renderTimeTable(const ResultStore &Time, size_t CacheIdx,
+/// of the \p CacheKb cache of \p Store, scaled back to paper volume, next
+/// to the paper's published values.
+void renderTimeTable(const ResultStore &Store, uint32_t CacheKb,
                      const PaperTime Paper[5][5],
                      const BenchOptions &Options) {
+  size_t CacheIdx = cacheIdx(Store, CacheKb);
   auto FormatPaper = [](const PaperTime &Entry) -> std::string {
     if (Entry.TotalSeconds < 0)
       return "?";
@@ -222,7 +238,9 @@ void renderTimeTable(const ResultStore &Time, size_t CacheIdx,
     Out.beginRow();
     Out.cell(allocatorKindName(PaperAllocators[A]));
     for (size_t W = 0; W != 5; ++W) {
-      const TimeEstimate &Est = Time.at(W, A).Result.Caches[CacheIdx].Time;
+      const TimeEstimate &Est = Store.at(workloadIdx(Store, PaperWorkloads[W]), A)
+                                    .Result.Caches[CacheIdx]
+                                    .Time;
       // Live heaps are unscaled, so the miss *rate* is directly comparable
       // and seconds scale linearly with volume.
       double Scale = effectiveScale(PaperWorkloads[W], Options);
@@ -231,7 +249,6 @@ void renderTimeTable(const ResultStore &Time, size_t CacheIdx,
       Out.cell(FormatPaper(Paper[A][W]));
     }
   }
-  uint32_t CacheKb = Time.spec().Caches[CacheIdx].SizeBytes / 1024;
   renderTable(Out, Options,
               "estimated total seconds / seconds waiting on " +
                   std::to_string(CacheKb) +
@@ -243,6 +260,7 @@ void renderTimeTable(const ResultStore &Time, size_t CacheIdx,
 /// 0.1%-1.1% of total execution time.
 void renderBoundaryTags(const ResultStore &Tags, const ResultStore &Paper,
                         const BenchOptions &Options) {
+  size_t GnuLocal = indexOf(Paper.spec().Allocators, AllocatorKind::GnuLocal);
   // Paper's Table 6 reference rows (miss rate %, miss penalty % of time).
   const double PaperTaggedMiss[5] = {0.880, 0.580, 0.600, 0.250, 0.240};
   const double PaperTaggedPenalty[5] = {5.27, 4.51, 4.91, 1.99, 1.78};
@@ -251,10 +269,12 @@ void renderBoundaryTags(const ResultStore &Tags, const ResultStore &Paper,
   const double PaperCost[5] = {1.13, 0.14, 0.78, 0.31, 0.29};
 
   auto Tagged = [&](size_t W) -> const CacheResult & {
-    return Tags.at(W, 0).Result.Caches[0];
+    return Tags.at(workloadIdx(Tags, PaperWorkloads[W]), 0)
+        .Result.Caches[cacheIdx(Tags, 64)];
   };
   auto Plain = [&](size_t W) -> const CacheResult & {
-    return Paper.at(W, GnuLocalIdx).Result.Caches[0];
+    return Paper.at(workloadIdx(Paper, PaperWorkloads[W]), GnuLocal)
+        .Result.Caches[cacheIdx(Paper, 64)];
   };
   auto MissPct = [](const CacheResult &Cache) {
     return 100.0 * Cache.Stats.missRate();
@@ -292,10 +312,10 @@ void renderBoundaryTags(const ResultStore &Tags, const ResultStore &Paper,
   EmitRow("tag cost % (paper)", [&](size_t W) { return PaperCost[W]; });
   renderTable(Out, Options);
 
-  std::cout << "Note: the paper's absolute miss rates are lower because "
-               "its trace volume per\nlive-heap byte is ~8x ours at the "
-               "default scale; the tag *delta* is the\ncomparable "
-               "quantity.\n";
+  std::cout << "Note: the paper's absolute miss rates are lower at every "
+               "--scale, paper volume\nincluded (cause unverified; "
+               "EXPERIMENTS.md, Deviation 2); the tag *delta* is the\n"
+               "comparable quantity.\n";
 }
 
 } // namespace
@@ -306,45 +326,16 @@ int main(int Argc, char **Argv) {
   if (!Options)
     return 1;
 
-  const std::vector<WorkloadId> Apps(PaperWorkloads, PaperWorkloads + 5);
-  const CacheConfig Kb16{16 * 1024, 32, 1}, Kb64{64 * 1024, 32, 1};
-  const std::vector<uint32_t> Fig2Kb = {256,  512,  768,  1024, 1536,
-                                        2048, 2560, 3072, 3584, 4096,
-                                        5120, 6144, 8192};
-  const std::vector<uint32_t> Fig3Kb = {128,  256,  512,  768,  1024, 1536,
-                                        2048, 2560, 3072, 3584, 4096, 5120};
-  // Paper-matrix workload ordinals past the five applications.
-  const size_t GsSmallIdx = 5, GsMediumIdx = 6;
-
-  MatrixSpec PaperSpec = paperSpec(Apps, *Options);
-  PaperSpec.Workloads.push_back(WorkloadId::GsSmall);
-  PaperSpec.Workloads.push_back(WorkloadId::GsMedium);
-  PaperSpec.Caches = {Kb64};
-  std::set_union(Fig2Kb.begin(), Fig2Kb.end(), Fig3Kb.begin(), Fig3Kb.end(),
-                 std::back_inserter(PaperSpec.PagingMemoryKb));
-  PaperSpec.SaltSeedPerWorkload = false;
-  ResultStore Paper = runBenchMatrix(PaperSpec, "paper", *Options);
-
-  MatrixSpec TagsSpec = paperSpec(Apps, *Options);
-  TagsSpec.Allocators = {AllocatorKind::GnuLocal};
-  TagsSpec.Caches = {Kb64};
-  TagsSpec.Base.EmulateBoundaryTags = true;
-  TagsSpec.SaltSeedPerWorkload = false;
-  ResultStore Tags = runBenchMatrix(TagsSpec, "tags", *Options);
-
-  MatrixSpec TimeSpec = paperSpec(Apps, *Options);
-  TimeSpec.Caches = {Kb16, Kb64};
-  ResultStore Time = runBenchMatrix(TimeSpec, "time", *Options);
-
-  MatrixSpec MissSpec = paperSpec(
-      {WorkloadId::GsSmall, WorkloadId::GsMedium, WorkloadId::Gs}, *Options);
-  MissSpec.Caches = paperCacheSweep();
-  ResultStore MissRate = runBenchMatrix(MissSpec, "gs-missrate", *Options);
+  ResultStore Paper =
+      runBenchMatrix(paperStoreSpec(*Options), "paper", *Options);
+  ResultStore Tags = runBenchMatrix(tagsStoreSpec(*Options), "tags", *Options);
 
   printBanner("Table 2: test program performance information "
               "(FirstFit baseline)",
               *Options);
-  renderWorkloadTable(Paper, {0, 1, 2, 3, 4}, /*ScaleColumn=*/true, *Options);
+  renderWorkloadTable(Paper, {std::begin(PaperWorkloads),
+                              std::end(PaperWorkloads)},
+                      /*ScaleColumn=*/true, *Options);
   std::cout
       << "Notes: instr/refs/object counts are measured at the run's scale "
          "and multiplied\nback up; heap KB is not scaled (live heaps are "
@@ -355,7 +346,9 @@ int main(int Argc, char **Argv) {
 
   printBanner("Table 3: GhostScript input sets (FirstFit baseline)",
               *Options);
-  renderWorkloadTable(Paper, {GsSmallIdx, GsMediumIdx, 1},
+  renderWorkloadTable(Paper,
+                      {WorkloadId::GsSmall, WorkloadId::GsMedium,
+                       WorkloadId::Gs},
                       /*ScaleColumn=*/false, *Options);
 
   printBanner("Figure 1: percent of execution time in malloc/free "
@@ -365,32 +358,32 @@ int main(int Argc, char **Argv) {
 
   printBanner("Figure 2: page fault rate vs memory size, GhostScript",
               *Options);
-  renderPageFaults(Paper, 1, Fig2Kb, *Options);
+  renderPageFaults(Paper, WorkloadId::Gs, Fig2MemoryKb, *Options);
   printBanner("Figure 3: page fault rate vs memory size, PTC", *Options);
-  renderPageFaults(Paper, 2, Fig3Kb, *Options);
+  renderPageFaults(Paper, WorkloadId::Ptc, Fig3MemoryKb, *Options);
 
   printBanner("Figure 4: normalized execution time, 16K direct-mapped "
               "cache, 25-cycle penalty",
               *Options);
-  renderNormalizedTime(Time, 0, *Options);
+  renderNormalizedTime(Paper, 16, *Options);
   printBanner("Figure 5: normalized execution time, 64K direct-mapped "
               "cache, 25-cycle penalty",
               *Options);
-  renderNormalizedTime(Time, 1, *Options);
+  renderNormalizedTime(Paper, 64, *Options);
 
   printBanner("Figures 6/7/8: GhostScript data-cache miss rate vs cache size "
               "(direct-mapped, 32B blocks)",
               *Options);
-  renderGsMissRate(MissRate, *Options);
+  renderGsMissRate(Paper, *Options);
 
   printBanner("Table 4: estimated execution seconds, 16K direct-mapped "
               "cache ('?' = illegible in the scanned paper)",
               *Options);
-  renderTimeTable(Time, 0, PaperTable4, *Options);
+  renderTimeTable(Paper, 16, PaperTable4, *Options);
   printBanner("Table 5: estimated execution seconds, 64K direct-mapped "
               "cache ('?' = illegible in the scanned paper)",
               *Options);
-  renderTimeTable(Time, 1, PaperTable5, *Options);
+  renderTimeTable(Paper, 64, PaperTable5, *Options);
 
   printBanner("Table 6: boundary-tag cache pollution in GNU LOCAL, 64K "
               "direct-mapped cache",

@@ -39,7 +39,6 @@ int main(int Argc, char **Argv) {
 
   MatrixSpec Spec = paperSpec({Workload}, *Options);
   Spec.Caches = Configs;
-  Spec.SaltSeedPerWorkload = false;
   ResultStore Store = runBenchMatrix(Spec, "geometry", *Options);
 
   std::vector<std::string> Headers = {"geometry"};

@@ -33,7 +33,6 @@ int main(int Argc, char **Argv) {
   MatrixSpec Spec = paperSpec({Workload}, *Options);
   Spec.PenaltiesCycles = {10, 25, 50, 100, 150, 200};
   Spec.Caches = {CacheConfig{64 * 1024, 32, 1}};
-  Spec.SaltSeedPerWorkload = false;
   ResultStore Store = runBenchMatrix(Spec, "penalty", *Options);
 
   std::vector<std::string> Headers = {"penalty (cycles)"};

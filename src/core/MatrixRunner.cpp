@@ -23,8 +23,6 @@ namespace {
 /// Seed for workload ordinal \p WorkloadIdx: decorrelated across workloads,
 /// identical across allocators and penalties, independent of scheduling.
 uint64_t cellSeed(const MatrixSpec &Spec, size_t WorkloadIdx) {
-  if (!Spec.SaltSeedPerWorkload)
-    return Spec.Base.Engine.Seed;
   SplitMix64 Mix(Spec.Base.Engine.Seed +
                  0x9e3779b97f4a7c15ULL * static_cast<uint64_t>(WorkloadIdx));
   return Mix.next();
@@ -193,11 +191,10 @@ void writeMatrixJson(std::ostream &OS, const MatrixSpec &Spec,
     OS << (I ? ", " : "") << Spec.PagingMemoryKb[I];
   OS << "]\n  },\n";
 
+  // Seeds are always salted; the field stays as a v1 schema constant.
   OS << "  \"engine\": {\"scale\": " << Spec.Base.Engine.Scale
      << ", \"seed\": " << Spec.Base.Engine.Seed
-     << ", \"salt_seed_per_workload\": "
-     << (Spec.SaltSeedPerWorkload ? "true" : "false");
-  OS << "},\n";
+     << ", \"salt_seed_per_workload\": true},\n";
 
   // The faults section (plan echo, totals, quarantine) exists only under a
   // fault plan: plan-free output stays byte-identical to pre-FaultLab runs.

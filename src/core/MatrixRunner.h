@@ -14,11 +14,13 @@
 /// expansion, *before* any scheduling happens. Parallel results are
 /// therefore bit-identical to serial ones by construction.
 ///
-/// Seeding: a cell's workload seed is derived from (base seed, workload
-/// ordinal) with SplitMix64. Streams are decorrelated across workloads but
-/// identical across allocators and penalties within one workload — the
-/// paper's methodological control (every allocator replays the identical
-/// request sequence) — and never depend on completion order.
+/// Seeding: every cell's workload seed is derived from (base seed, workload
+/// ordinal) with SplitMix64; there is no unsalted mode. Streams are
+/// decorrelated across workloads but identical across allocators and
+/// penalties within one workload — the paper's methodological control
+/// (every allocator replays the identical request sequence) — and never
+/// depend on completion order. Two matrices with the same base seed whose
+/// workload lists share a prefix replay the same streams on that prefix.
 ///
 /// Penalty as a projection: the miss penalty enters only the time estimate
 /// (instructions + misses x penalty), so runMatrix simulates each
@@ -78,10 +80,6 @@ struct MatrixSpec {
   /// emulation, heap checking, ... (Workload/Allocator/Caches/Paging/
   /// MissPenaltyCycles fields of Base are overwritten per cell.)
   ExperimentConfig Base;
-
-  /// Derive each cell's engine seed from (Base seed, workload ordinal).
-  /// When false every cell uses Base.Engine.Seed verbatim.
-  bool SaltSeedPerWorkload = true;
 
   size_t cellCount() const {
     return Workloads.size() * Allocators.size() * PenaltiesCycles.size();

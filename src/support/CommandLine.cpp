@@ -5,6 +5,8 @@
 #include "support/Error.h"
 
 #include <cassert>
+#include <cctype>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 
@@ -84,6 +86,26 @@ bool CommandLine::getIntInRange(const std::string &Name, int64_t Min,
   Error = "--" + Name + " must be in [" + std::to_string(Min) + ", " +
           std::to_string(Max) + "], got '" + getString(Name) + "'";
   return false;
+}
+
+bool CommandLine::getUint64(const std::string &Name, uint64_t &Value,
+                            std::string &Error) const {
+  const std::string &Text = getString(Name);
+  // strtoull skips whitespace, accepts a sign and negates "-1" to 2^64-1;
+  // only a leading digit is a valid start.
+  char *End = nullptr;
+  errno = 0;
+  unsigned long long Parsed =
+      std::isdigit(static_cast<unsigned char>(Text.c_str()[0]))
+          ? std::strtoull(Text.c_str(), &End, 0)
+          : 0;
+  if (End == nullptr || *End != '\0' || errno == ERANGE) {
+    Error = "--" + Name + " expects an unsigned 64-bit integer, got '" +
+            Text + "'";
+    return false;
+  }
+  Value = Parsed;
+  return true;
 }
 
 double CommandLine::getDouble(const std::string &Name) const {

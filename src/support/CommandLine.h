@@ -42,6 +42,11 @@ public:
   /// value lies outside [Min, Max] (the range of the field it feeds).
   bool getIntInRange(const std::string &Name, int64_t Min, int64_t Max,
                      int64_t &Value, std::string &Error) const;
+  /// Parses the flag as an unsigned 64-bit value (decimal, 0x hex or 0
+  /// octal). Returns false with a diagnostic in \p Error on a sign, trailing
+  /// junk or a value above 2^64-1, instead of saturating or wrapping.
+  bool getUint64(const std::string &Name, uint64_t &Value,
+                 std::string &Error) const;
 
   const std::vector<std::string> &positional() const { return Positional; }
 

@@ -4,7 +4,8 @@
 //
 // Coverage for the shared benchmark harness (bench/BenchCommon): the common
 // flag parsing, the PaperData transcription the benches print beside
-// measured values, and — via death tests — runBenchMatrix's fatal paths: a
+// measured values, the paper store's spec builders (expanded, not run), and
+// — via death tests — runBenchMatrix's fatal paths: a
 // failed cell must die with the cell's coordinates in the message, and an
 // unwritable export path must die naming the <prefix>.<name>.json file.
 //
@@ -17,6 +18,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -81,6 +83,20 @@ TEST(BenchOptionsTest, OutOfRangeScaleAndJobsAreRejected) {
   EXPECT_EQ(Edge->Jobs, 4294967295u);
 }
 
+TEST(BenchOptionsTest, SeedIsParsedAsUnsigned64Bit) {
+  // strtoll used to saturate every seed at or above 2^63 to 2^63-1 and
+  // to turn -1 into 2^64-1.
+  for (const char *Bad : {"--seed=-1", "--seed=+7", "--seed=12abc",
+                          "--seed=0x10000000000000000", "--seed="})
+    EXPECT_FALSE(parseArgs({Bad}).has_value()) << Bad;
+  std::optional<BenchOptions> High = parseArgs({"--seed=0xdeadbeefcafef00d"});
+  ASSERT_TRUE(High.has_value());
+  EXPECT_EQ(High->Seed, 0xdeadbeefcafef00dULL);
+  std::optional<BenchOptions> Max = parseArgs({"--seed=18446744073709551615"});
+  ASSERT_TRUE(Max.has_value());
+  EXPECT_EQ(Max->Seed, UINT64_MAX);
+}
+
 TEST(BenchOptionsTest, HelpExitsWithoutOptions) {
   EXPECT_FALSE(parseArgs({"--help"}).has_value());
 }
@@ -142,6 +158,87 @@ TEST(PaperDataTest, SpotCheckAgainstThePublishedTables) {
   EXPECT_DOUBLE_EQ(PaperTable4[0][0].MissSeconds, 43.01);
   EXPECT_DOUBLE_EQ(PaperTable5[4][4].TotalSeconds, 3.60);
   EXPECT_DOUBLE_EQ(PaperTable5[4][4].MissSeconds, 0.05);
+}
+
+//===----------------------------------------------------------------------===//
+// The paper store and its Table 6 sibling (expansion only, no simulation)
+//===----------------------------------------------------------------------===//
+
+/// The first cell of workload \p Workload in \p Cells.
+const MatrixCell &firstCellOf(const std::vector<MatrixCell> &Cells,
+                              WorkloadId Workload) {
+  auto It = std::find_if(Cells.begin(), Cells.end(), [&](const MatrixCell &C) {
+    return C.Config.Workload == Workload;
+  });
+  EXPECT_NE(It, Cells.end()) << workloadName(Workload);
+  return *It;
+}
+
+TEST(PaperStoreTest, CoversEveryArtifactAxis) {
+  MatrixSpec Spec = paperStoreSpec(BenchOptions());
+  const std::vector<WorkloadId> Expected = {
+      WorkloadId::Espresso, WorkloadId::Gs,      WorkloadId::Ptc,
+      WorkloadId::Gawk,     WorkloadId::Make,    WorkloadId::GsSmall,
+      WorkloadId::GsMedium};
+  EXPECT_EQ(Spec.Workloads, Expected);
+  EXPECT_TRUE(std::equal(std::begin(PaperWorkloads), std::end(PaperWorkloads),
+                         Spec.Workloads.begin()));
+  EXPECT_TRUE(std::equal(std::begin(PaperAllocators), std::end(PaperAllocators),
+                         Spec.Allocators.begin(), Spec.Allocators.end()));
+  EXPECT_EQ(Spec.Caches, paperCacheSweep());
+  for (uint32_t Kb : {16u, 64u})
+    EXPECT_NE(std::find(Spec.Caches.begin(), Spec.Caches.end(),
+                        CacheConfig{Kb * 1024, 32, 1}),
+              Spec.Caches.end())
+        << Kb;
+  for (const std::vector<uint32_t> *Figure : {&Fig2MemoryKb, &Fig3MemoryKb})
+    for (uint32_t Kb : *Figure)
+      EXPECT_NE(std::find(Spec.PagingMemoryKb.begin(),
+                          Spec.PagingMemoryKb.end(), Kb),
+                Spec.PagingMemoryKb.end())
+          << Kb;
+  EXPECT_EQ(expandMatrix(Spec).size(), 35u);
+}
+
+TEST(PaperStoreTest, TagCellsReplayTheStoresGnuLocalStreams) {
+  // Table 6 compares one request stream with and without tags.
+  BenchOptions Options;
+  Options.Seed = 0xdeadbeefcafef00dULL;
+  std::vector<MatrixCell> Store = expandMatrix(paperStoreSpec(Options));
+  std::vector<MatrixCell> Tags = expandMatrix(tagsStoreSpec(Options));
+  ASSERT_EQ(Tags.size(), std::size(PaperWorkloads));
+  for (size_t W = 0; W != Tags.size(); ++W) {
+    const MatrixCell &Tagged = Tags[W];
+    EXPECT_EQ(Tagged.Config.Workload, PaperWorkloads[W]);
+    EXPECT_EQ(Tagged.Config.Allocator, AllocatorKind::GnuLocal);
+    EXPECT_TRUE(Tagged.Config.EmulateBoundaryTags);
+    const MatrixCell *Plain = nullptr;
+    for (const MatrixCell &Cell : Store)
+      if (Cell.Config.Workload == PaperWorkloads[W] &&
+          Cell.Config.Allocator == AllocatorKind::GnuLocal)
+        Plain = &Cell;
+    ASSERT_NE(Plain, nullptr) << W;
+    EXPECT_FALSE(Plain->Config.EmulateBoundaryTags);
+    EXPECT_EQ(Tagged.Config.Engine.Seed, Plain->Config.Engine.Seed) << W;
+    EXPECT_EQ(Tagged.Config.Engine.Scale, Plain->Config.Engine.Scale) << W;
+  }
+}
+
+TEST(PaperStoreTest, ApplicationsKeepTheSeedsOfAnApplicationsOnlyMatrix) {
+  // The five applications come first, so they carry the seeds a salted
+  // paperSpec over just those five gives them: Figs. 4/5 and Tables 4/5
+  // do not move when other workloads join the store.
+  BenchOptions Options;
+  std::vector<MatrixCell> Store = expandMatrix(paperStoreSpec(Options));
+  std::vector<MatrixCell> Apps = expandMatrix(paperSpec(
+      {std::begin(PaperWorkloads), std::end(PaperWorkloads)}, Options));
+  for (const MatrixCell &App : Apps)
+    EXPECT_EQ(firstCellOf(Store, App.Config.Workload).Config.Engine.Seed,
+              App.Config.Engine.Seed)
+        << workloadName(App.Config.Workload);
+  // The store's workloads still get distinct streams.
+  EXPECT_NE(firstCellOf(Store, WorkloadId::GsSmall).Config.Engine.Seed,
+            firstCellOf(Store, WorkloadId::Gs).Config.Engine.Seed);
 }
 
 //===----------------------------------------------------------------------===//

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 using namespace allocsim;
 
@@ -160,6 +161,12 @@ TEST(CliMatrixTest, MalformedSpecsExitNonzeroWithDiagnostic) {
       {"--conform true --conform-scale 0", "--conform-scale must be in"},
       {"--conform true --conform-scale -64", "--conform-scale must be in"},
       {"--check full --check-interval -1", "--check-interval must be in"},
+      // --seed is a full unsigned 64-bit value: no sign, no junk, no
+      // saturation.
+      {"--seed -1", "--seed expects an unsigned 64-bit integer"},
+      {"--seed 0x10000000000000000",
+       "--seed expects an unsigned 64-bit integer"},
+      {"--seed 12abc", "--seed expects an unsigned 64-bit integer"},
   };
   for (const BadInvocation &Invocation : Bad) {
     std::string Output;
@@ -210,4 +217,27 @@ TEST(CliMatrixTest, LegacySingleWorkloadFlagsStillWork) {
   int Exit = runCli("--workload make --allocators QuickFit --caches 16 "
                     "--scale 512");
   EXPECT_EQ(Exit, 0);
+}
+
+TEST(CliMatrixTest, SeedsAbove2To63EchoTheirOwnValues) {
+  // strtoll used to saturate both of these to 9223372036854775807, so the
+  // two runs wrote byte-identical JSON.
+  const std::pair<const char *, const char *> Seeds[] = {
+      {"0xdeadbeefcafef00d", "\"seed\": 16045690984503111693"},
+      {"0xa5a5a5a5a5a5a5a5", "\"seed\": 11936128518282651045"}};
+  for (const auto &[Flag, Echo] : Seeds) {
+    std::string JsonPath = testing::TempDir() + "cli_matrix_test_seed.json";
+    EXPECT_EQ(runCli("--matrix \"workloads=make;allocators=BSD\" "
+                     "--scale 512 --seed " +
+                     std::string(Flag) + " --out-json " + JsonPath),
+              0)
+        << Flag;
+    std::ifstream In(JsonPath);
+    ASSERT_TRUE(In) << "CLI did not write " << JsonPath;
+    std::ostringstream Content;
+    Content << In.rdbuf();
+    EXPECT_NE(Content.str().find(Echo), std::string::npos)
+        << Flag << "\n" << Content.str();
+    std::remove(JsonPath.c_str());
+  }
 }

@@ -122,7 +122,6 @@ TEST(IntegrationTest, PaperShapeBsdIsInstructionLeanest) {
   Spec.Workloads = {WorkloadId::Espresso};
   Spec.Allocators.assign(PaperAllocators, PaperAllocators + 5);
   Spec.Base.Engine.Scale = 32;
-  Spec.SaltSeedPerWorkload = false;
   ResultStore Store = runMatrix(Spec);
   ASSERT_EQ(Store.failedCount(), 0u);
   auto Fraction = [&](size_t A) {

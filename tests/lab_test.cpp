@@ -72,7 +72,6 @@ TEST(LabTest, IdenticalEventStreamAcrossAllocators) {
   Spec.Allocators.assign(PaperAllocators, PaperAllocators + 5);
   Spec.Base = smallConfig(WorkloadId::Make, AllocatorKind::Bsd);
   Spec.Caches = Spec.Base.Caches;
-  Spec.SaltSeedPerWorkload = false;
   ResultStore Store = runMatrix(Spec);
   ASSERT_EQ(Store.failedCount(), 0u);
   const RunResult &First = Store.at(0, 0).Result;

@@ -110,11 +110,6 @@ TEST(MatrixRunnerTest, ExpansionOrderAndSeeds) {
     EXPECT_EQ(Cell.Config.PagingMemoryKb.size(), 2u);
   }
   EXPECT_NE(Cells[0].Config.Engine.Seed, Cells[6].Config.Engine.Seed);
-
-  Spec.SaltSeedPerWorkload = false;
-  std::vector<MatrixCell> Unsalted = expandMatrix(Spec);
-  for (const MatrixCell &Cell : Unsalted)
-    EXPECT_EQ(Cell.Config.Engine.Seed, Spec.Base.Engine.Seed);
 }
 
 TEST(MatrixRunnerTest, ParallelResultsBitIdenticalToSerial) {

@@ -156,6 +156,9 @@ int main(int Argc, char **Argv) {
       !Cli.getIntInRange("check-interval", 0, UINT32_MAX, CheckInterval,
                          Error))
     return usageError(Error);
+  uint64_t Seed = 0;
+  if (!Cli.getUint64("seed", Seed, Error))
+    return usageError(Error);
 
   if (Cli.getBool("conform") || Cli.getBool("conform-json")) {
     ConformOptions Conform;
@@ -163,7 +166,7 @@ int main(int Argc, char **Argv) {
          splitSpecList(Cli.getString("conform-suite"), ','))
       Conform.Suites.push_back(Name);
     Conform.Scale = static_cast<uint32_t>(ConformScale);
-    Conform.Seed = static_cast<uint64_t>(Cli.getInt("seed"));
+    Conform.Seed = Seed;
     Conform.Jobs = static_cast<unsigned>(Jobs);
     Conform.ExpectationsDir = Cli.getString("expectations");
     const char *Update = std::getenv("ALLOCSIM_UPDATE_CONFORMANCE");
@@ -194,7 +197,7 @@ int main(int Argc, char **Argv) {
 
   MatrixSpec Spec;
   Spec.Base.Engine.Scale = static_cast<uint32_t>(Scale);
-  Spec.Base.Engine.Seed = static_cast<uint64_t>(Cli.getInt("seed"));
+  Spec.Base.Engine.Seed = Seed;
   Spec.Base.EmulateBoundaryTags = Cli.getBool("tags");
   Spec.Base.Check.Level = parseCheckLevel(Cli.getString("check"));
   Spec.Base.Check.IntervalOps = static_cast<uint32_t>(CheckInterval);
