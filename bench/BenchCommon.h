@@ -5,14 +5,14 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Flag handling, formatting and the matrix runner shared by the benchmark
-/// binaries (allocsim_reproduce, Figure 9, the extensions). Every binary
-/// accepts:
+/// Flag handling, formatting, the paper store's matrix specs and the matrix
+/// runner shared by the benchmark binaries (allocsim_reproduce, Figure 9,
+/// the extensions). Every binary accepts:
 ///
 ///   --scale N      divide the paper's allocation counts by N (default 8;
 ///                  workloads that cannot be scaled without shrinking their
 ///                  live heap, like PTC, are clamped automatically)
-///   --seed S       workload RNG seed
+///   --seed S       workload RNG seed (unsigned 64-bit, decimal or 0x hex)
 ///   --csv          emit CSV instead of aligned text
 ///   --jobs N       MatrixRunner worker threads for the sweep benches
 ///                  (0 = all hardware threads; results are bit-identical

@@ -114,9 +114,9 @@ void renderMallocTime(const ResultStore &Paper, const BenchOptions &Options) {
 
 /// Figures 2 and 3: faults per reference of \p Workload at each of
 /// \p MemoryKb (4 KB pages, LRU) plus each allocator's total heap, the
-/// figure's x-axis end symbols. Shape: the sequential fits (FIRSTFIT above all) degrade far
-/// faster as memory shrinks; BSD needs the most memory; the segregated
-/// allocators are the most resilient.
+/// figure's x-axis end symbols. Shape: the sequential fits (FIRSTFIT above
+/// all) degrade far faster as memory shrinks; BSD needs the most memory;
+/// the segregated allocators are the most resilient.
 void renderPageFaults(const ResultStore &Paper, WorkloadId Workload,
                       const std::vector<uint32_t> &MemoryKb,
                       const BenchOptions &Options) {
@@ -181,8 +181,8 @@ void renderNormalizedTime(const ResultStore &Store, uint32_t CacheKb,
     Share.beginRow();
     Share.cell(allocatorKindName(PaperAllocators[A]));
     for (WorkloadId Workload : PaperWorkloads) {
-      const TimeEstimate &Est =
-          Store.at(workloadIdx(Store, Workload), A).Result.Caches[CacheIdx].Time;
+      size_t W = workloadIdx(Store, Workload);
+      const TimeEstimate &Est = Store.at(W, A).Result.Caches[CacheIdx].Time;
       Share.num(100.0 * Est.missCycles() / Est.totalCycles(), 1);
     }
   }
@@ -238,9 +238,8 @@ void renderTimeTable(const ResultStore &Store, uint32_t CacheKb,
     Out.beginRow();
     Out.cell(allocatorKindName(PaperAllocators[A]));
     for (size_t W = 0; W != 5; ++W) {
-      const TimeEstimate &Est = Store.at(workloadIdx(Store, PaperWorkloads[W]), A)
-                                    .Result.Caches[CacheIdx]
-                                    .Time;
+      size_t Row = workloadIdx(Store, PaperWorkloads[W]);
+      const TimeEstimate &Est = Store.at(Row, A).Result.Caches[CacheIdx].Time;
       // Live heaps are unscaled, so the miss *rate* is directly comparable
       // and seconds scale linearly with volume.
       double Scale = effectiveScale(PaperWorkloads[W], Options);
