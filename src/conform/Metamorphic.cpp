@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
 
 using namespace allocsim;
 
@@ -23,16 +24,24 @@ std::vector<AllocatorKind> metamorphicAllocators() {
   return Kinds;
 }
 
-/// The shared base matrix every matrix-level property transforms: two
-/// workloads (one heavy churner, one light), every allocator, two cache
-/// geometries, telemetry on so merged-snapshot equality is exercised.
-MatrixSpec baseSpec(const MetamorphicOptions &Options) {
+/// A matrix over the metamorphic workloads (one heavy churner, one light)
+/// and every allocator, observing \p Caches.
+MatrixSpec familySpec(std::vector<CacheConfig> Caches,
+                      const MetamorphicOptions &Options) {
   MatrixSpec Spec;
   Spec.Workloads = {WorkloadId::Espresso, WorkloadId::Make};
   Spec.Allocators = metamorphicAllocators();
-  Spec.Caches = {{16 * 1024, 32, 1}, {64 * 1024, 32, 1}};
+  Spec.Caches = std::move(Caches);
   Spec.Base.Engine.Scale = Options.Scale;
   Spec.Base.Engine.Seed = Options.Seed;
+  return Spec;
+}
+
+/// The shared base matrix every matrix-level property transforms: two
+/// cache geometries, telemetry on so merged-snapshot equality is exercised.
+MatrixSpec baseSpec(const MetamorphicOptions &Options) {
+  MatrixSpec Spec = familySpec({{16 * 1024, 32, 1}, {64 * 1024, 32, 1}},
+                               Options);
   Spec.Base.Telemetry = TelemetryLevel::Summary;
   return Spec;
 }
@@ -60,32 +69,28 @@ std::string cellFingerprint(const CellOutcome &Cell) {
   return OS.str();
 }
 
-std::string cellName(const ResultStore &Store, size_t W, size_t A, size_t P) {
+std::string cellName(const ResultStore &Store, const CellCoord &At) {
   const MatrixSpec &Spec = Store.spec();
-  return std::string(workloadName(Spec.Workloads[W])) + "/" +
-         allocatorKindName(Spec.Allocators[A]) + "/p" +
-         std::to_string(Spec.PenaltiesCycles[P]);
+  return std::string(workloadName(Spec.Workloads[At.WorkloadIdx])) + "/" +
+         allocatorKindName(Spec.Allocators[At.AllocatorIdx]) + "/p" +
+         std::to_string(Spec.PenaltiesCycles[At.PenaltyIdx]);
 }
 
-/// conform-meta-jobs: serial and parallel runs of the same spec are
-/// bit-identical, both in the golden serialization and in the merged
-/// telemetry fold.
-size_t checkJobsInvariance(const MatrixSpec &Spec,
+/// conform-meta-jobs: the serial run \p Whole and a parallel run of the
+/// same spec are bit-identical, both in the golden serialization and in the
+/// merged telemetry fold.
+size_t checkJobsInvariance(const MatrixSpec &Spec, const ResultStore &Whole,
                            const MetamorphicOptions &Options,
                            DiagEngine &Diags) {
-  MatrixOptions Serial;
-  Serial.Jobs = 1;
   MatrixOptions Parallel;
   Parallel.Jobs = Options.Jobs > 1 ? Options.Jobs : 8;
-
-  ResultStore SerialStore = runMatrix(Spec, Serial);
   ResultStore ParallelStore = runMatrix(Spec, Parallel);
 
-  if (goldenOf(SerialStore) != goldenOf(ParallelStore))
+  if (goldenOf(Whole) != goldenOf(ParallelStore))
     Diags.error("conform-meta-jobs", {},
                 "golden serialization differs between --jobs=1 and --jobs=" +
                     std::to_string(Parallel.Jobs));
-  if (!(SerialStore.mergedTelemetry() == ParallelStore.mergedTelemetry()))
+  if (!(Whole.mergedTelemetry() == ParallelStore.mergedTelemetry()))
     Diags.error("conform-meta-jobs", {},
                 "merged telemetry differs between --jobs=1 and --jobs=" +
                     std::to_string(Parallel.Jobs));
@@ -118,7 +123,7 @@ size_t checkSplitMerge(const MatrixSpec &Spec, const ResultStore &Whole,
             !(Expect.Result.Telemetry == Got.Result.Telemetry))
           Diags.error("conform-meta-split", {},
                       "allocator-axis split changed cell " +
-                          cellName(Whole, W, A, P) + ": [" +
+                          cellName(Whole, Expect.Coord) + ": [" +
                           cellFingerprint(Expect) + "] became [" +
                           cellFingerprint(Got) + "]");
       }
@@ -154,7 +159,7 @@ size_t checkPermutation(const MatrixSpec &Spec, const ResultStore &Whole,
         if (cellFingerprint(Expect) != cellFingerprint(Got))
           Diags.error("conform-meta-permute", {},
                       "allocator-axis permutation changed cell " +
-                          cellName(Whole, W, A, P) + ": [" +
+                          cellName(Whole, Expect.Coord) + ": [" +
                           cellFingerprint(Expect) + "] became [" +
                           cellFingerprint(Got) + "]");
       }
@@ -165,134 +170,82 @@ size_t checkPermutation(const MatrixSpec &Spec, const ResultStore &Whole,
 
 /// conform-meta-assoc: with the set count held fixed, doubling
 /// associativity (so capacity doubles too) can never increase LRU misses —
-/// the stack inclusion property — for the given \p Caches chain, ordered
+/// the stack inclusion property — along \p Store's cache chain, ordered
 /// narrowest first.
-size_t checkAssocInclusionFamily(const std::vector<CacheConfig> &Caches,
-                                 const MetamorphicOptions &Options,
-                                 const MatrixOptions &RunOptions,
-                                 DiagEngine &Diags) {
-  MatrixSpec Spec;
-  Spec.Workloads = {WorkloadId::Espresso, WorkloadId::Make};
-  Spec.Allocators = metamorphicAllocators();
-  Spec.Caches = Caches;
-  Spec.Base.Engine.Scale = Options.Scale;
-  Spec.Base.Engine.Seed = Options.Seed;
-
-  ResultStore Store = runMatrix(Spec, RunOptions);
+size_t checkAssocInclusion(const ResultStore &Store, DiagEngine &Diags) {
   size_t Checked = 0;
-  for (size_t W = 0; W != Spec.Workloads.size(); ++W) {
-    for (size_t A = 0; A != Spec.Allocators.size(); ++A) {
-      const CellOutcome &Cell = Store.at(W, A, 0);
-      if (!Cell.Ok) {
+  for (size_t I = 0; I != Store.size(); ++I) {
+    const CellOutcome &Cell = Store.cell(I);
+    const std::string Name = cellName(Store, Cell.Coord);
+    if (!Cell.Ok) {
+      Diags.error("conform-meta-assoc", {},
+                  "cell " + Name + " failed: " + Cell.Error);
+      continue;
+    }
+    for (size_t C = 0; C + 1 < Cell.Result.Caches.size(); ++C) {
+      ++Checked;
+      uint64_t Narrow = Cell.Result.Caches[C].Stats.Misses;
+      uint64_t Wide = Cell.Result.Caches[C + 1].Stats.Misses;
+      if (Wide > Narrow)
         Diags.error("conform-meta-assoc", {},
-                    "cell " + cellName(Store, W, A, 0) +
-                        " failed: " + Cell.Error);
-        continue;
-      }
-      for (size_t C = 0; C + 1 < Cell.Result.Caches.size(); ++C) {
-        ++Checked;
-        uint64_t Narrow = Cell.Result.Caches[C].Stats.Misses;
-        uint64_t Wide = Cell.Result.Caches[C + 1].Stats.Misses;
-        if (Wide > Narrow)
-          Diags.error(
-              "conform-meta-assoc", {},
-              "LRU inclusion violated for " + cellName(Store, W, A, 0) +
-                  ": " + Cell.Result.Caches[C].Config.describe() + " had " +
-                  std::to_string(Narrow) + " misses but " +
-                  Cell.Result.Caches[C + 1].Config.describe() + " had " +
-                  std::to_string(Wide));
-      }
+                    "LRU inclusion violated for " + Name + ": " +
+                        Cell.Result.Caches[C].Config.describe() + " had " +
+                        std::to_string(Narrow) + " misses but " +
+                        Cell.Result.Caches[C + 1].Config.describe() +
+                        " had " + std::to_string(Wide));
     }
   }
   return Checked;
 }
 
-/// The two conform-meta-assoc chains: 16K direct-mapped, 32K 2-way and 64K
-/// 4-way with 32-byte blocks all have 512 sets; the fully-associative chain
-/// (one set each, Assoc == numBlocks) is the pure stack property.
-size_t checkAssocInclusion(const MetamorphicOptions &Options,
-                           const MatrixOptions &RunOptions,
-                           DiagEngine &Diags) {
-  size_t Checked = 0;
-  Checked += checkAssocInclusionFamily(
-      {{16 * 1024, 32, 1}, {32 * 1024, 32, 2}, {64 * 1024, 32, 4}}, Options,
-      RunOptions, Diags);
-  Checked += checkAssocInclusionFamily({{512, 32, 16}, {1024, 32, 32}},
-                                       Options, RunOptions, Diags);
-  return Checked;
+/// Exact-integer fingerprint of one cache member's statistics, by source.
+std::string statsFingerprint(const CacheConfig &Config,
+                             const CacheStats &Stats) {
+  std::ostringstream OS;
+  OS << " c" << Config.SizeBytes << "/" << Config.Assoc << "="
+     << Stats.Misses << "/" << Stats.Accesses;
+  for (unsigned S = 0; S != NumAccessSources; ++S)
+    OS << " " << Stats.MissesBySource[S] << "/" << Stats.AccessesBySource[S];
+  return OS.str();
 }
 
-/// Exact-integer fingerprint of per-member cache statistics, by source.
-std::string cacheFingerprint(const std::vector<CacheConfig> &Family,
-                             const std::vector<CacheStats> &Stats) {
-  std::ostringstream OS;
-  for (size_t I = 0; I != Family.size(); ++I) {
-    OS << " c" << Family[I].SizeBytes << "/" << Family[I].Assoc << "="
-       << Stats[I].Misses << "/" << Stats[I].Accesses;
-    for (unsigned S = 0; S != NumAccessSources; ++S)
-      OS << " " << Stats[I].MissesBySource[S] << "/"
-         << Stats[I].AccessesBySource[S];
+/// The conform-meta-engine cell runner: simulates the cell once, with a
+/// CacheBank (one CacheSim per member, the oracle) observing the reference
+/// stream next to the automatically chosen cache engine, and fails the cell
+/// unless both report the same misses and accesses per member, in total
+/// and by source.
+RunResult runWithBankOracle(const ExperimentConfig &Config,
+                            TelemetrySnapshot &Partial) {
+  CacheBank Bank;
+  for (const CacheConfig &Cache : Config.Caches)
+    Bank.addCache(Cache);
+  RunResult Result = runExperiment(Config, &Partial, &Bank);
+
+  std::string Engine, Oracle;
+  for (size_t I = 0; I != Config.Caches.size(); ++I) {
+    Engine += statsFingerprint(Config.Caches[I], Result.Caches[I].Stats);
+    Oracle += statsFingerprint(Config.Caches[I], Bank.cache(I).stats());
   }
-  return OS.str();
+  if (Engine != Oracle)
+    throw std::runtime_error(
+        "cache engine disagrees with CacheBank: engine [" + Engine +
+        "] vs CacheBank [" + Oracle + "]");
+  return Result;
 }
 
 /// conform-meta-engine: whichever engine the cache layer picks for a family
 /// — the one-pass ladder for the paper's direct-mapped sweep, the stack
-/// kernel for an associativity family — every cell reports exactly what a
-/// CacheBank (one CacheSim per member) counts on the same cell's reference
-/// stream: misses and accesses per member, in total and by source.
-size_t checkEngineEquivalence(const MetamorphicOptions &Options,
-                              const MatrixOptions &RunOptions,
-                              DiagEngine &Diags) {
-  const std::vector<CacheConfig> Families[] = {
-      paperCacheSweep(),
-      {{16 * 1024, 32, 1}, {32 * 1024, 32, 2}, {64 * 1024, 32, 4}}};
-  size_t Checked = 0;
-  for (const std::vector<CacheConfig> &Family : Families) {
-    MatrixSpec Spec;
-    Spec.Workloads = {WorkloadId::Espresso, WorkloadId::Make};
-    Spec.Allocators = metamorphicAllocators();
-    Spec.Caches = Family;
-    Spec.Base.Engine.Scale = Options.Scale;
-    Spec.Base.Engine.Seed = Options.Seed;
-    ResultStore Store = runMatrix(Spec, RunOptions);
-
-    for (const MatrixCell &Cell : expandMatrix(Spec)) {
-      const CellCoord &At = Cell.Coord;
-      const CellOutcome &Auto =
-          Store.at(At.WorkloadIdx, At.AllocatorIdx, At.PenaltyIdx);
-      const std::string Name =
-          cellName(Store, At.WorkloadIdx, At.AllocatorIdx, At.PenaltyIdx);
-      ++Checked;
-      if (!Auto.Ok) {
-        Diags.error("conform-meta-engine", {},
-                    "cell " + Name + " failed: " + Auto.Error);
-        continue;
-      }
-      // Replay: the same cell with no cache layer of its own, observed by
-      // the per-config oracle.
-      CacheBank Bank;
-      for (const CacheConfig &Config : Family)
-        Bank.addCache(Config);
-      ExperimentConfig Replay = Cell.Config;
-      Replay.Caches.clear();
-      runExperiment(Replay, nullptr, &Bank);
-
-      std::vector<CacheStats> Expected, Got;
-      for (size_t I = 0; I != Family.size(); ++I) {
-        Expected.push_back(Bank.cache(I).stats());
-        Got.push_back(Auto.Result.Caches[I].Stats);
-      }
-      if (cacheFingerprint(Family, Expected) !=
-          cacheFingerprint(Family, Got))
-        Diags.error("conform-meta-engine", {},
-                    "cache engine disagrees with CacheBank on cell " + Name +
-                        ": engine [" + cacheFingerprint(Family, Got) +
-                        "] vs CacheBank [" +
-                        cacheFingerprint(Family, Expected) + "]");
-    }
+/// kernel for an associativity family — agrees with the CacheBank oracle on
+/// every cell of \p Store, which runWithBankOracle produced.
+size_t checkEngineEquivalence(const ResultStore &Store, DiagEngine &Diags) {
+  for (size_t I = 0; I != Store.size(); ++I) {
+    const CellOutcome &Cell = Store.cell(I);
+    if (!Cell.Ok)
+      Diags.error("conform-meta-engine", {},
+                  "cell " + cellName(Store, Cell.Coord) + " failed: " +
+                      Cell.Error);
   }
-  return Checked;
+  return Store.size();
 }
 
 /// Deterministic scripted workload for the relabel property: interleaved
@@ -388,16 +341,36 @@ size_t allocsim::runMetamorphicSuite(const MetamorphicOptions &Options,
                                      DiagEngine &Diags) {
   MatrixOptions RunOptions;
   RunOptions.Jobs = Options.Jobs;
+  MatrixOptions Serial;
+  Serial.Jobs = 1;
+  MatrixOptions Oracle = RunOptions;
+  Oracle.CellRunner = runWithBankOracle;
 
+  // Whole is also conform-meta-jobs' serial leg.
   MatrixSpec Spec = baseSpec(Options);
-  ResultStore Whole = runMatrix(Spec, RunOptions);
+  ResultStore Whole = runMatrix(Spec, Serial);
+  // Both engine families run once, observed by the oracle; 16K
+  // direct-mapped, 32K 2-way and 64K 4-way with 32-byte blocks all have 512
+  // sets, so that family is also conform-meta-assoc's first chain. The
+  // second, fully associative chain (one set each, Assoc == numBlocks) is
+  // the pure stack property.
+  ResultStore Sweep =
+      runMatrix(familySpec(paperCacheSweep(), Options), Oracle);
+  ResultStore Chain = runMatrix(
+      familySpec({{16 * 1024, 32, 1}, {32 * 1024, 32, 2}, {64 * 1024, 32, 4}},
+                 Options),
+      Oracle);
+  ResultStore FullyAssoc = runMatrix(
+      familySpec({{512, 32, 16}, {1024, 32, 32}}, Options), RunOptions);
 
   size_t Checked = 0;
-  Checked += checkJobsInvariance(Spec, Options, Diags);
+  Checked += checkJobsInvariance(Spec, Whole, Options, Diags);
   Checked += checkSplitMerge(Spec, Whole, RunOptions, Diags);
   Checked += checkPermutation(Spec, Whole, RunOptions, Diags);
-  Checked += checkAssocInclusion(Options, RunOptions, Diags);
-  Checked += checkEngineEquivalence(Options, RunOptions, Diags);
+  Checked += checkAssocInclusion(Chain, Diags);
+  Checked += checkAssocInclusion(FullyAssoc, Diags);
+  Checked += checkEngineEquivalence(Sweep, Diags);
+  Checked += checkEngineEquivalence(Chain, Diags);
   Checked += checkRelabelInvariance(Options, Diags);
   return Checked;
 }

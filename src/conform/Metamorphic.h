@@ -32,8 +32,12 @@
 ///  * conform-meta-engine: the cache engine chosen from the family's shape
 ///    (the one-pass ladder for the paper's direct-mapped sweep, the stack
 ///    kernel for a shared-set-count LRU family) reports, cell by cell,
-///    exactly the per-member and per-source counts of a CacheBank replay
-///    of the same cell's reference stream.
+///    exactly the per-member and per-source counts of a CacheBank (one
+///    CacheSim per member) observing the same run's reference stream.
+///
+/// Each distinct matrix is simulated once: the base matrix is also the
+/// jobs property's serial leg, and the 512-set assoc chain is also the
+/// engine property's associativity family.
 ///  * conform-meta-relabel: renaming every object id through a bijection
 ///    leaves a scripted run's reference stream and miss counts unchanged —
 ///    allocation is driven by request order and sizes, never by the names.
@@ -56,8 +60,9 @@ struct MetamorphicOptions {
   uint32_t Scale = 64;
   /// Base engine seed.
   uint64_t Seed = 1592932958ULL;
-  /// Worker count for the parallel leg of the jobs property and for every
-  /// other matrix run; 1 keeps the whole suite serial.
+  /// Worker count for every matrix run but the jobs property's two legs:
+  /// its serial leg always runs at 1 worker, its parallel leg at this count
+  /// when it is above 1 and at 8 otherwise.
   unsigned Jobs = 1;
 };
 

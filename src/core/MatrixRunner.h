@@ -203,7 +203,9 @@ struct MatrixOptions {
   /// Simulation seam; defaults to runExperiment. It is called once per
   /// (workload, allocator) pair, with the pair's first-penalty config, and
   /// its result (or failure) fills every penalty cell of the pair. Tests
-  /// inject throwing runners to exercise the failure policy. A runner that
+  /// inject throwing runners to exercise the failure policy; the
+  /// metamorphic suite's runner attaches a CacheBank oracle to each
+  /// simulation and throws when the engine disagrees. A runner that
   /// throws may first fill the snapshot with the telemetry it accumulated,
   /// which feeds the quarantine record of each of the pair's cells (the
   /// default runExperiment path does).

@@ -12,6 +12,21 @@
 
 using namespace allocsim;
 
+namespace {
+
+/// Parses a boolean flag value; returns false when \p Text is not one.
+bool parseBoolText(const std::string &Text, bool &Value) {
+  if (Text == "true" || Text == "1" || Text == "yes")
+    Value = true;
+  else if (Text == "false" || Text == "0" || Text == "no")
+    Value = false;
+  else
+    return false;
+  return true;
+}
+
+} // namespace
+
 void CommandLine::addFlag(const std::string &Name, const std::string &Default,
                           const std::string &Help) {
   assert(!Flags.count(Name) && "flag registered twice");
@@ -29,28 +44,36 @@ bool CommandLine::parse(int Argc, const char *const *Argv) {
       Positional.push_back(Arg);
       continue;
     }
-    std::string Name, Value;
     auto Eq = Arg.find('=');
-    if (Eq != std::string::npos) {
-      Name = Arg.substr(2, Eq - 2);
-      Value = Arg.substr(Eq + 1);
-    } else {
-      Name = Arg.substr(2);
-      auto It = Flags.find(Name);
-      if (It == Flags.end()) {
-        std::fprintf(stderr, "error: unknown flag --%s\n", Name.c_str());
-        printHelp(Argv[0]);
-        return false;
-      }
+    bool HasValue = Eq != std::string::npos;
+    std::string Name = HasValue ? Arg.substr(2, Eq - 2) : Arg.substr(2);
+    std::string Value = HasValue ? Arg.substr(Eq + 1) : "";
+    auto It = Flags.find(Name);
+    if (It == Flags.end()) {
+      std::fprintf(stderr, "error: unknown flag --%s\n", Name.c_str());
+      printHelp(Argv[0]);
+      return false;
+    }
+    bool Boolean =
+        It->second.Default == "true" || It->second.Default == "false";
+    bool Ignored = false;
+    if (!HasValue && Boolean) {
+      // A bare switch means true; it takes the next argument only when that
+      // is a boolean literal (--csv false, --csv 1).
+      Value = I + 1 < Argc && parseBoolText(Argv[I + 1], Ignored)
+                  ? Argv[++I]
+                  : "true";
+    } else if (!HasValue) {
       if (I + 1 >= Argc) {
-        std::fprintf(stderr, "error: flag --%s needs a value\n", Name.c_str());
+        std::fprintf(stderr, "error: flag --%s needs a value\n",
+                     Name.c_str());
         return false;
       }
       Value = Argv[++I];
     }
-    auto It = Flags.find(Name);
-    if (It == Flags.end()) {
-      std::fprintf(stderr, "error: unknown flag --%s\n", Name.c_str());
+    if (Boolean && !parseBoolText(Value, Ignored)) {
+      std::fprintf(stderr, "error: flag --%s expects a boolean, got '%s'\n",
+                   Name.c_str(), Value.c_str());
       printHelp(Argv[0]);
       return false;
     }
@@ -120,10 +143,9 @@ double CommandLine::getDouble(const std::string &Name) const {
 
 bool CommandLine::getBool(const std::string &Name) const {
   const std::string &Value = getString(Name);
-  if (Value == "true" || Value == "1" || Value == "yes")
-    return true;
-  if (Value == "false" || Value == "0" || Value == "no")
-    return false;
+  bool Result = false;
+  if (parseBoolText(Value, Result))
+    return Result;
   reportFatalError("flag --" + Name + " expects a boolean, got '" + Value +
                    "'");
 }

@@ -7,7 +7,10 @@
 /// \file
 /// A minimal --flag=value / --flag value parser for the benchmark and example
 /// binaries. Unknown flags are fatal (they usually indicate a typo in an
-/// experiment script).
+/// experiment script). A flag registered with a "true" or "false" default is
+/// a boolean switch: bare --flag means true, --flag=v and --flag v set it
+/// when v is a boolean literal (true/false, 1/0, yes/no), and any other
+/// --flag=v is a parse error.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -179,6 +179,15 @@ TEST(CliMatrixTest, MalformedSpecsExitNonzeroWithDiagnostic) {
   }
 }
 
+TEST(CliMatrixTest, MalformedBooleanIsAUsageError) {
+  // A bad boolean used to reach getBool's fatal error and abort.
+  std::string Output;
+  EXPECT_EQ(runCliCapture("--conform=maybe", Output), 2) << Output;
+  EXPECT_NE(Output.find("flag --conform expects a boolean, got 'maybe'"),
+            std::string::npos)
+      << Output;
+}
+
 TEST(CliMatrixTest, GoodRunEmitsParseableJsonAndExitsZero) {
   std::string JsonPath = testing::TempDir() + "cli_matrix_test_out.json";
   int Exit = runCli(

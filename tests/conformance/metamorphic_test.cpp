@@ -5,8 +5,8 @@
 // Drives the metamorphic invariant suite (conform/Metamorphic.h) at a
 // reduced workload scale so the whole property set — jobs invariance,
 // allocator-axis split/merge and permutation bit-identity, associativity-
-// doubling miss monotonicity, object-id relabeling invariance — runs in
-// seconds. The committed-configuration run (scale 64) is exercised by the
+// doubling miss monotonicity, cache-engine agreement with the CacheBank
+// oracle, object-id relabeling invariance — runs in seconds. The committed-configuration run (scale 64) is exercised by the
 // `allocsim_cli --conform` gate; these tests check that the invariants are
 // properties of the simulator, not of one scale or seed.
 //
@@ -25,10 +25,11 @@ namespace {
 void expectCleanSuite(const MetamorphicOptions &Options) {
   DiagEngine Diags;
   size_t Checked = runMetamorphicSuite(Options, Diags);
-  // All five properties over the 2x5 base matrix: 2 jobs + 11 split/merge
-  // + 10 permute + 20 assoc-inclusion + 5 relabel elementary checks. A
-  // smaller count means a property silently skipped.
-  EXPECT_GE(Checked, 48u);
+  // All six relations over 2 workloads x 7 allocators: 2 jobs + 15
+  // split/merge + 14 permute + 42 assoc-inclusion (28 on the 512-set chain,
+  // 14 on the fully associative one) + 28 engine + 7 relabel elementary
+  // checks. Any other count means a relation or a cell silently skipped.
+  EXPECT_EQ(Checked, 108u);
   if (!Diags.clean()) {
     std::ostringstream OS;
     Diags.print(OS, "metamorphic");

@@ -233,9 +233,49 @@ TEST(CommandLineTest, UnknownFlagFails) {
 TEST(CommandLineTest, BoolParsing) {
   CommandLine Cli;
   Cli.addFlag("flag", "false", "");
-  const char *Argv[] = {"prog", "--flag=true"};
-  ASSERT_TRUE(Cli.parse(2, Argv));
+  Cli.addFlag("a", "false", "");
+  Cli.addFlag("b", "true", "");
+  const char *Argv[] = {"prog", "--flag=true", "--a", "1", "--b", "false"};
+  ASSERT_TRUE(Cli.parse(6, Argv));
   EXPECT_TRUE(Cli.getBool("flag"));
+  EXPECT_TRUE(Cli.getBool("a"));
+  EXPECT_FALSE(Cli.getBool("b"));
+  EXPECT_TRUE(Cli.positional().empty());
+}
+
+TEST(CommandLineTest, BareBooleanSwitchMeansTrue) {
+  // The bench harness's flag set: a bare --csv must not swallow --scale.
+  CommandLine Cli;
+  Cli.addFlag("csv", "false", "");
+  Cli.addFlag("scale", "8", "");
+  const char *Argv[] = {"prog", "--csv", "--scale", "256"};
+  ASSERT_TRUE(Cli.parse(4, Argv));
+  EXPECT_TRUE(Cli.getBool("csv"));
+  EXPECT_EQ(Cli.getInt("scale"), 256);
+
+  CommandLine Trailing;
+  Trailing.addFlag("csv", "false", "");
+  const char *TrailingArgv[] = {"prog", "--csv"};
+  ASSERT_TRUE(Trailing.parse(2, TrailingArgv));
+  EXPECT_TRUE(Trailing.getBool("csv"));
+
+  // A following argument that is no boolean literal stays positional.
+  CommandLine Before;
+  Before.addFlag("csv", "false", "");
+  const char *BeforeArgv[] = {"prog", "--csv", "input.trace"};
+  ASSERT_TRUE(Before.parse(3, BeforeArgv));
+  EXPECT_TRUE(Before.getBool("csv"));
+  ASSERT_EQ(Before.positional().size(), 1u);
+  EXPECT_EQ(Before.positional()[0], "input.trace");
+}
+
+TEST(CommandLineTest, MalformedBooleanFailsToParse) {
+  for (const char *Bad : {"--flag=maybe", "--flag="}) {
+    CommandLine Cli;
+    Cli.addFlag("flag", "false", "");
+    const char *Argv[] = {"prog", Bad};
+    EXPECT_FALSE(Cli.parse(2, Argv)) << Bad;
+  }
 }
 
 TEST(CommandLineTest, HelpReturnsFalse) {
