@@ -42,6 +42,7 @@
 #include "cache/StackSim.h"
 #include "mem/AccessBatch.h"
 #include "support/Error.h"
+#include "trace/RefTrace.h"
 #include "workload/Driver.h"
 
 #include <chrono>
@@ -54,14 +55,6 @@ using namespace allocsim;
 
 namespace {
 
-/// Records the full reference stream for later replay.
-class StreamRecorder final : public AccessSink {
-public:
-  void accessBatch(const MemAccess *Batch, size_t Count) override {
-    Stream.insert(Stream.end(), Batch, Batch + Count);
-  }
-  std::vector<MemAccess> Stream;
-};
 
 /// One sweep shape under test.
 struct EngineConfig {
@@ -80,11 +73,12 @@ struct Measurement {
   }
 };
 
-/// Captures the gs-small/FirstFit reference stream once; both engines
+/// Captures the gs-small/FirstFit reference stream once, one record per
+/// reference (CollectingSink expands the driver's spans); both engines
 /// replay exactly these records.
 std::vector<MemAccess> captureStream(const BenchOptions &Options) {
   MemoryBus Bus;
-  StreamRecorder Recorder;
+  CollectingSink Recorder;
   Bus.attach(&Recorder);
 
   SimHeap Heap(Bus);
@@ -99,7 +93,7 @@ std::vector<MemAccess> captureStream(const BenchOptions &Options) {
   Driver Drive(*Alloc, Bus, Cost, Profile.instrPerRef());
   Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
   Bus.flush();
-  return std::move(Recorder.Stream);
+  return Recorder.records();
 }
 
 /// Delivers the stream to \p Sink in AccessBatch-sized chunks and returns

@@ -1,27 +1,32 @@
-//===- bench/bench_pipeline_throughput.cpp - Batched pipeline speed -------===//
+//===- bench/bench_pipeline_throughput.cpp - Span vs expanded delivery ----===//
 //
 // Part of allocsim (PLDI 1993 cache-locality-of-malloc reproduction).
 //
-// Measures end-to-end reference-pipeline throughput (refs/sec: workload
-// synthesis + allocator simulation + sink delivery, the whole experiment
-// hot path) under scalar delivery (a capacity-1 bus) and the default
-// batched bus, for the sink configurations the paper's studies actually
-// run:
+// Measures what reference spans buy the production sinks. The driver emits
+// its object and stack sweeps as span records (MemAccess.h), and the fast
+// sinks handle a span once per cache block or page. This bench captures one
+// run's record stream (gs-small under FirstFit), expands it word by word,
+// and replays both forms, in AccessBatch-sized chunks, into fresh copies of
+// each production sink set:
 //
-//   multicache    the Figure 6-8 sweep: every paper cache geometry at once
-//   cache+paging  one 16K cache plus the page-fault simulator (Fig 4/5 +
-//                 Fig 2/3 shape)
-//   paging        the page simulator alone (Figure 2-3)
-//   trace         a binary trace writer to a discarding stream
-//   bare          no sinks: counter-only upper bound on the event engine
+//   ladder         the Figure 6-8 sweep: CacheSweep over the paper's
+//                  16K..256K direct-mapped caches (the ladder kernel)
+//   ladder+paging  the same sweep plus the page-fault simulator
+//   paging         the page simulator alone (Figure 2-3)
+//   assoc512       CacheSweep over 512-set 1..16-way LRU (the stack kernel)
 //
-// Emits the summary as JSON (schema allocsim-bench-pipeline-v1) for the
-// perf-smoke CI job. The committed baseline at the repo root
-// (BENCH_pipeline.json) is compared by tools/check_perf_baseline.py on the
-// *speedup ratios* — batched over scalar on the same machine and run —
-// which is the hardware-independent signal; absolute refs/sec are recorded
-// for human eyes only. To refresh the baseline after an intentional
-// pipeline change:
+// Both replays run in one process on one stream, so their ratio (span
+// refs/sec over expanded refs/sec, references counted as words) is the
+// hardware-independent signal. A sink that handled spans word by word
+// would score about 1. After every measurement the two replays' results
+// are compared; any difference is fatal, so each run is also an
+// equivalence check.
+//
+// Emits the summary as JSON (schema allocsim-bench-pipeline-v2) for the
+// perf-smoke CI job. tools/check_perf_baseline.py compares the speedup
+// ratios with the committed baseline at the repo root (BENCH_pipeline.json);
+// absolute refs/sec are for human eyes only. To refresh the baseline after
+// an intentional pipeline change:
 //
 //   build/bench/bench_pipeline_throughput --out BENCH_pipeline.json
 //
@@ -31,6 +36,7 @@
 
 #include "BenchCommon.h"
 
+#include "cache/StackSim.h"
 #include "support/Error.h"
 #include "trace/RefTrace.h"
 #include "vm/PageSim.h"
@@ -40,77 +46,26 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <ostream>
-#include <streambuf>
 #include <vector>
 
 using namespace allocsim;
 
 namespace {
 
-/// Discards everything written to it; lets the trace-writer configuration
-/// measure serialization cost without filesystem noise.
-class NullStreamBuf : public std::streambuf {
-protected:
-  int overflow(int Ch) override { return Ch; }
-  std::streamsize xsputn(const char *, std::streamsize Count) override {
-    return Count;
+/// Keeps the bus's records as they are, spans included.
+class RecordTap final : public AccessSink {
+public:
+  void accessBatch(const MemAccess *Batch, size_t Count) override {
+    Records.insert(Records.end(), Batch, Batch + Count);
   }
+  std::vector<MemAccess> Records;
 };
 
-/// One sink configuration under test.
-struct PipelineConfig {
-  std::string Name;
-  bool MultiCache = false;
-  bool SingleCache = false;
-  bool Paging = false;
-  bool Trace = false;
-};
-
-/// One scalar-vs-batched measurement.
-struct Measurement {
-  std::string Name;
-  uint64_t Refs = 0;
-  double ScalarRefsPerSec = 0;
-  double BatchedRefsPerSec = 0;
-  double speedup() const {
-    return ScalarRefsPerSec > 0 ? BatchedRefsPerSec / ScalarRefsPerSec : 0;
-  }
-};
-
-/// Runs the full pipeline once and returns (refs, seconds). The timed
-/// region covers everything an experiment's hot loop does: event
-/// synthesis, allocator execution, reference emission, and sink delivery.
-std::pair<uint64_t, double> runOnce(const PipelineConfig &Config,
-                                    bool Batched,
-                                    const BenchOptions &Options) {
+/// Captures the gs-small/FirstFit record stream once.
+std::vector<MemAccess> captureStream(const BenchOptions &Options) {
   MemoryBus Bus;
-  if (!Batched)
-    Bus.setBatchCapacity(1);
-
-  CacheBank Caches;
-  if (Config.MultiCache)
-    for (const CacheConfig &CacheConf : paperCacheSweep())
-      Caches.addCache(CacheConf);
-  if (Config.SingleCache)
-    Caches.addCache(CacheConfig{16 * 1024, 32, 1});
-  if (!Caches.empty())
-    Bus.attach(&Caches);
-
-  std::unique_ptr<PageSim> Paging;
-  if (Config.Paging) {
-    Paging = std::make_unique<PageSim>(4096);
-    Bus.attach(Paging.get());
-  }
-
-  NullStreamBuf NullBuf;
-  std::ostream NullStream(&NullBuf);
-  std::unique_ptr<BinaryTraceWriter> Writer;
-  if (Config.Trace) {
-    Writer = std::make_unique<BinaryTraceWriter>(NullStream);
-    Bus.attach(Writer.get());
-  }
-
+  RecordTap Tap;
+  Bus.attach(&Tap);
   SimHeap Heap(Bus);
   CostModel Cost;
   std::unique_ptr<Allocator> Alloc =
@@ -121,42 +76,117 @@ std::pair<uint64_t, double> runOnce(const PipelineConfig &Config,
   EngineOpts.Seed = Options.Seed;
   WorkloadEngine Engine(Profile, EngineOpts);
   Driver Drive(*Alloc, Bus, Cost, Profile.instrPerRef());
-
-  auto Start = std::chrono::steady_clock::now();
   Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
   Bus.flush();
-  auto End = std::chrono::steady_clock::now();
-  double Seconds = std::chrono::duration<double>(End - Start).count();
-  return {Bus.totalAccesses(), Seconds};
+  return std::move(Tap.Records);
 }
 
-/// Best-of-N timing: the minimum wall time is the least-noisy estimate of
-/// the pipeline's actual cost.
-Measurement measure(const PipelineConfig &Config, unsigned Reps,
-                    const BenchOptions &Options) {
-  Measurement Result;
-  Result.Name = Config.Name;
-  double ScalarBest = 0, BatchedBest = 0;
-  for (unsigned Rep = 0; Rep != Reps; ++Rep) {
-    auto [Refs, ScalarSec] = runOnce(Config, /*Batched=*/false, Options);
-    auto [RefsB, BatchedSec] = runOnce(Config, /*Batched=*/true, Options);
-    if (Refs != RefsB)
-      reportFatalError("batched run emitted a different reference count");
-    Result.Refs = Refs;
-    double Scalar = double(Refs) / ScalarSec;
-    double Batched = double(Refs) / BatchedSec;
-    ScalarBest = std::max(ScalarBest, Scalar);
-    BatchedBest = std::max(BatchedBest, Batched);
+/// 512 sets, 32B blocks, associativity 1..16.
+std::vector<CacheConfig> assocFamily() {
+  std::vector<CacheConfig> Family;
+  for (uint32_t Assoc = 1; Assoc <= 16; Assoc *= 2)
+    Family.push_back(CacheConfig{16 * 1024 * Assoc, 32, Assoc});
+  return Family;
+}
+
+/// One production sink set under test.
+struct SinkSet {
+  std::string Name;
+  std::vector<CacheConfig> Caches;
+  bool Paging = false;
+};
+
+/// Fresh sinks for one replay, and what they computed.
+class SinkInstance {
+public:
+  explicit SinkInstance(const SinkSet &Set) : Sweep(Set.Caches) {
+    if (!Sweep.empty())
+      Sinks.push_back(&Sweep);
+    if (Set.Paging) {
+      Paging = std::make_unique<PageSim>(4096);
+      Sinks.push_back(Paging.get());
+    }
   }
-  Result.ScalarRefsPerSec = ScalarBest;
-  Result.BatchedRefsPerSec = BatchedBest;
+
+  /// Delivers \p Stream in AccessBatch-sized chunks; returns the wall
+  /// seconds of the sink work alone.
+  double replay(const std::vector<MemAccess> &Stream) {
+    auto Start = std::chrono::steady_clock::now();
+    for (size_t Offset = 0; Offset < Stream.size();
+         Offset += AccessBatch::MaxCapacity) {
+      const size_t Count =
+          std::min(AccessBatch::MaxCapacity, Stream.size() - Offset);
+      for (AccessSink *Sink : Sinks)
+        Sink->accessBatch(Stream.data() + Offset, Count);
+    }
+    auto End = std::chrono::steady_clock::now();
+    return std::chrono::duration<double>(End - Start).count();
+  }
+
+  /// Every count the sinks report, flattened for comparison.
+  std::vector<uint64_t> results() const {
+    std::vector<uint64_t> Out;
+    for (size_t I = 0; I != Sweep.size(); ++I) {
+      const CacheStats Stats = Sweep.statsFor(I);
+      Out.push_back(Stats.Accesses);
+      Out.push_back(Stats.Misses);
+      Out.insert(Out.end(), Stats.MissesBySource.begin(),
+                 Stats.MissesBySource.end());
+    }
+    if (Paging) {
+      Out.push_back(Paging->references());
+      Out.push_back(Paging->zeroDistanceHits());
+      for (uint64_t Pages = 1; Pages <= 4096; Pages *= 2)
+        Out.push_back(Paging->faults(Pages));
+    }
+    return Out;
+  }
+
+private:
+  CacheSweep Sweep;
+  std::unique_ptr<PageSim> Paging;
+  std::vector<AccessSink *> Sinks;
+};
+
+/// One span-vs-expanded measurement.
+struct Measurement {
+  std::string Name;
+  uint64_t Refs = 0;
+  uint64_t Records = 0;
+  double ExpandedRefsPerSec = 0;
+  double SpanRefsPerSec = 0;
+  double speedup() const {
+    return ExpandedRefsPerSec > 0 ? SpanRefsPerSec / ExpandedRefsPerSec : 0;
+  }
+};
+
+/// Best-of-N timing of both replays: the minimum wall time is the
+/// least-noisy estimate of a sink's actual cost.
+Measurement measure(const SinkSet &Set, const std::vector<MemAccess> &Spans,
+                    const std::vector<MemAccess> &Expanded, unsigned Reps) {
+  Measurement Result;
+  Result.Name = Set.Name;
+  Result.Refs = Expanded.size();
+  Result.Records = Spans.size();
+  const double Refs = double(Expanded.size());
+  for (unsigned Rep = 0; Rep != Reps; ++Rep) {
+    SinkInstance ExpandedSinks(Set), SpanSinks(Set);
+    const double ExpandedSec = ExpandedSinks.replay(Expanded);
+    const double SpanSec = SpanSinks.replay(Spans);
+    if (Rep == 0 && ExpandedSinks.results() != SpanSinks.results())
+      reportFatalError("span and expanded replays disagree on '" + Set.Name +
+                       "'");
+    Result.ExpandedRefsPerSec =
+        std::max(Result.ExpandedRefsPerSec, Refs / ExpandedSec);
+    Result.SpanRefsPerSec = std::max(Result.SpanRefsPerSec, Refs / SpanSec);
+  }
   return Result;
 }
 
 void writeJson(std::ostream &OS, const std::vector<Measurement> &Rows,
                bool Quick, const BenchOptions &Options) {
   OS << "{\n";
-  OS << "  \"schema\": \"allocsim-bench-pipeline-v1\",\n";
+  OS << "  \"schema\": \"allocsim-bench-pipeline-v2\",\n";
   OS << "  \"quick\": " << (Quick ? "true" : "false") << ",\n";
   OS << "  \"scale\": " << Options.Scale << ",\n";
   OS << "  \"seed\": " << Options.Seed << ",\n";
@@ -166,13 +196,13 @@ void writeJson(std::ostream &OS, const std::vector<Measurement> &Rows,
     const Measurement &Row = Rows[I];
     char Buffer[256];
     std::snprintf(Buffer, sizeof(Buffer),
-                  "    {\"name\": \"%s\", \"refs\": %llu, "
-                  "\"scalar_refs_per_sec\": %.0f, "
-                  "\"batched_refs_per_sec\": %.0f, \"speedup\": %.3f}",
+                  "    {\"name\": \"%s\", \"refs\": %llu, \"records\": %llu, "
+                  "\"expanded_refs_per_sec\": %.0f, "
+                  "\"span_refs_per_sec\": %.0f, \"speedup\": %.3f}",
                   Row.Name.c_str(),
                   static_cast<unsigned long long>(Row.Refs),
-                  Row.ScalarRefsPerSec, Row.BatchedRefsPerSec,
-                  Row.speedup());
+                  static_cast<unsigned long long>(Row.Records),
+                  Row.ExpandedRefsPerSec, Row.SpanRefsPerSec, Row.speedup());
     OS << Buffer << (I + 1 == Rows.size() ? "\n" : ",\n");
   }
   OS << "  ]\n";
@@ -193,32 +223,36 @@ int main(int Argc, char **Argv) {
   bool Quick = Cli.getBool("quick");
   if (Quick && Options->Scale == 8)
     Options->Scale = 16; // smaller run, same machinery
-  unsigned Reps = Quick ? 2 : 4;
+  unsigned Reps = Quick ? 3 : 5;
 
-  printBanner("reference-pipeline throughput: scalar vs batched delivery "
-              "(gs-small, FirstFit)",
+  printBanner("reference-pipeline throughput: span records vs their "
+              "word-by-word expansion (gs-small, FirstFit)",
               *Options);
 
-  const PipelineConfig Configs[] = {
-      {"multicache", /*MultiCache=*/true, false, false, false},
-      {"cache+paging", false, /*SingleCache=*/true, /*Paging=*/true, false},
-      {"paging", false, false, /*Paging=*/true, false},
-      {"trace", false, false, false, /*Trace=*/true},
-      {"bare", false, false, false, false},
+  const std::vector<MemAccess> Spans = captureStream(*Options);
+  CollectingSink Words;
+  Words.accessBatch(Spans.data(), Spans.size());
+  const std::vector<MemAccess> &Expanded = Words.records();
+
+  const SinkSet Sets[] = {
+      {"ladder", paperCacheSweep(), false},
+      {"ladder+paging", paperCacheSweep(), true},
+      {"paging", {}, true},
+      {"assoc512", assocFamily(), false},
   };
-
   std::vector<Measurement> Rows;
-  for (const PipelineConfig &Config : Configs)
-    Rows.push_back(measure(Config, Reps, *Options));
+  for (const SinkSet &Set : Sets)
+    Rows.push_back(measure(Set, Spans, Expanded, Reps));
 
-  Table Out({"config", "refs(M)", "scalar Mref/s", "batched Mref/s",
-             "speedup"});
+  Table Out({"sinks", "refs(M)", "records(M)", "expanded Mref/s",
+             "span Mref/s", "speedup"});
   for (const Measurement &Row : Rows) {
     Out.beginRow();
     Out.cell(Row.Name);
     Out.num(double(Row.Refs) / 1e6, 1);
-    Out.num(Row.ScalarRefsPerSec / 1e6, 1);
-    Out.num(Row.BatchedRefsPerSec / 1e6, 1);
+    Out.num(double(Row.Records) / 1e6, 2);
+    Out.num(Row.ExpandedRefsPerSec / 1e6, 1);
+    Out.num(Row.SpanRefsPerSec / 1e6, 1);
     Out.num(Row.speedup(), 2);
   }
   renderTable(Out, *Options);

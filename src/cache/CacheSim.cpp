@@ -50,6 +50,12 @@ CacheSim::CacheSim(const CacheConfig &SimConfig) : Config(SimConfig) {
 }
 
 void ProbedCache::accessBatch(const MemAccess *Batch, size_t Count) {
+  expandSpans(Batch, Count, [this](const MemAccess *Words, size_t N) {
+    probeWords(Words, N);
+  });
+}
+
+void ProbedCache::probeWords(const MemAccess *Batch, size_t Count) {
   const uint32_t SetMask = Config.numSets() - 1;
   uint64_t Accesses = 0, Misses = 0;
   uint64_t AccBySource[NumAccessSources] = {};
@@ -96,6 +102,12 @@ void DirectMappedCache::reset() {
 }
 
 void DirectMappedCache::accessBatch(const MemAccess *Batch, size_t Count) {
+  expandSpans(Batch, Count, [this](const MemAccess *Words, size_t N) {
+    probeWords(Words, N);
+  });
+}
+
+void DirectMappedCache::probeWords(const MemAccess *Batch, size_t Count) {
   // Hoist everything loop-invariant: the tag array, index mask and block
   // shift live in registers for the whole batch, and statistics accumulate
   // into locals folded back once. Same frame split as ProbedCache.
@@ -223,8 +235,12 @@ size_t CacheBank::addCache(const CacheConfig &SimConfig) {
 }
 
 void CacheBank::accessBatch(const MemAccess *Batch, size_t Count) {
-  for (auto &Cache : Caches)
-    Cache->accessBatch(Batch, Count);
+  // Expand once for every cache; each then passes the span-free chunk
+  // straight to its own loop.
+  expandSpans(Batch, Count, [this](const MemAccess *Words, size_t N) {
+    for (auto &Cache : Caches)
+      Cache->accessBatch(Words, N);
+  });
 }
 
 void CacheBank::resetAll() {

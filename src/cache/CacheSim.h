@@ -12,6 +12,10 @@
 /// simulates many configurations from one reference stream in a single pass
 /// (how the paper produced its miss-rate-vs-cache-size curves).
 ///
+/// These simulators are the oracle the one-pass engines (StackSim.h) are
+/// tested against, so they stay word by word: a span record is expanded
+/// (expandSpans) into its single references before the probe loop sees it.
+///
 /// Misses are counted for both reads and writes (write-allocate); only the
 /// data stream is modeled — the paper assumes a 0% instruction-cache miss
 /// rate. Statistics are split by access source so that allocator-induced
@@ -22,6 +26,7 @@
 #ifndef ALLOCSIM_CACHE_CACHESIM_H
 #define ALLOCSIM_CACHE_CACHESIM_H
 
+#include "mem/AccessBatch.h"
 #include "mem/AccessSink.h"
 
 #include <array>
@@ -124,12 +129,15 @@ public:
 
   void reset() override;
 
-  /// One pass over the records with the block shift, index mask and tag
-  /// array hoisted out of the loop. Tests hold it against a one-way
+  /// One pass over the expanded records with the block shift, index mask
+  /// and tag array hoisted out of the loop. Tests hold it against a one-way
   /// SetAssocCache, an independent probe implementation.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
 private:
+  /// The probe loop over single references.
+  void probeWords(const MemAccess *Batch, size_t Count);
+
   uint32_t IndexMask;
   /// Tag-plus-one per set; 0 means invalid.
   std::vector<uint64_t> Tags;
@@ -144,6 +152,10 @@ public:
   using CacheSim::CacheSim;
 
   void accessBatch(const MemAccess *Batch, size_t Count) final;
+
+private:
+  /// The frame loop over single references.
+  void probeWords(const MemAccess *Batch, size_t Count);
 
 protected:
   /// Returns true on hit; updates replacement state.

@@ -139,6 +139,14 @@ void StackSim::ladderBatch(const MemAccess *Batch, size_t Count) {
   for (size_t I = 0; I != Count; ++I) {
     const MemAccess &Acc = Batch[I];
     const unsigned Source = static_cast<unsigned>(Acc.Source);
+    if (Acc.isSpan()) {
+      // Each block once, in span order; the block's other words follow its
+      // probe directly, so they hit rung 0 (level 0, no member misses).
+      Frames[Source] += Acc.Words;
+      forEachSpanFrame(Acc, Shift,
+                       [&](uint64_t Frame) { Probe(Frame, Source); });
+      continue;
+    }
     const FrameRange Range = frameRange(Acc, Shift);
     Frames[Source] += Range.Last - Range.First + 1;
     // Most references touch one frame; giving them their own copy of the
@@ -162,40 +170,50 @@ void StackSim::stackBatch(const MemAccess *Batch, size_t Count) {
   const bool Profile = ProfileEnabled;
   uint64_t *HistData = Hist.data();
   uint64_t Frames[NumAccessSources] = {};
+  auto Probe = [&](uint64_t Frame, unsigned Source) {
+    const uint32_t Block = static_cast<uint32_t>(Frame);
+    const uint32_t Set = Block & Mask;
+    const uint32_t TagPlusOne = Block + 1;
+    uint32_t *Stack = TagData + static_cast<size_t>(Set) * Depths;
+    // MRU fast path: a depth-0 hit moves nothing and misses nowhere.
+    uint32_t Prev = Stack[0];
+    if (Prev == TagPlusOne)
+      return;
+    // Search and reposition in one pass, sliding each entry down while
+    // scanning: a hit at depth D has shifted [0..D), a miss the whole
+    // stack.
+    Stack[0] = TagPlusOne;
+    uint32_t Depth = Depths;
+    for (uint32_t D = 1; D != Depths; ++D) {
+      const uint32_t Cur = Stack[D];
+      Stack[D] = Prev;
+      if (Cur == TagPlusOne) {
+        Depth = D;
+        break;
+      }
+      Prev = Cur;
+    }
+    ++HistData[(Depth - 1) * NumAccessSources + Source];
+    if (Profile)
+      for (size_t M = 0; M != Family.size(); ++M)
+        if (Threshold[M] <= Depth)
+          ++SetMisses[M][Set];
+  };
   for (size_t I = 0; I != Count; ++I) {
     const MemAccess &Acc = Batch[I];
     const unsigned Source = static_cast<unsigned>(Acc.Source);
+    if (Acc.isSpan()) {
+      // Each block once, in span order; its other words then sit at depth
+      // 0 (MRU) of their set.
+      Frames[Source] += Acc.Words;
+      forEachSpanFrame(Acc, Shift,
+                       [&](uint64_t Frame) { Probe(Frame, Source); });
+      continue;
+    }
     const FrameRange Range = frameRange(Acc, Shift);
     Frames[Source] += Range.Last - Range.First + 1;
-    for (uint64_t Frame = Range.First; Frame <= Range.Last; ++Frame) {
-      const uint32_t Block = static_cast<uint32_t>(Frame);
-      const uint32_t Set = Block & Mask;
-      const uint32_t TagPlusOne = Block + 1;
-      uint32_t *Stack = TagData + static_cast<size_t>(Set) * Depths;
-      // MRU fast path: a depth-0 hit moves nothing and misses nowhere.
-      uint32_t Prev = Stack[0];
-      if (Prev == TagPlusOne)
-        continue;
-      // Search and reposition in one pass, sliding each entry down while
-      // scanning: a hit at depth D has shifted [0..D), a miss the whole
-      // stack.
-      Stack[0] = TagPlusOne;
-      uint32_t Depth = Depths;
-      for (uint32_t D = 1; D != Depths; ++D) {
-        const uint32_t Cur = Stack[D];
-        Stack[D] = Prev;
-        if (Cur == TagPlusOne) {
-          Depth = D;
-          break;
-        }
-        Prev = Cur;
-      }
-      ++HistData[(Depth - 1) * NumAccessSources + Source];
-      if (Profile)
-        for (size_t M = 0; M != Family.size(); ++M)
-          if (Threshold[M] <= Depth)
-            ++SetMisses[M][Set];
-    }
+    for (uint64_t Frame = Range.First; Frame <= Range.Last; ++Frame)
+      Probe(Frame, Source);
   }
   for (unsigned S = 0; S != NumAccessSources; ++S)
     FramesBySource[S] += Frames[S];

@@ -4,6 +4,7 @@
 
 #include "alloc/Allocator.h"
 
+#include <algorithm>
 #include <sstream>
 
 using namespace allocsim;
@@ -86,58 +87,100 @@ void ShadowHeap::reportViolation(ViolationKind Kind, std::string AllocName,
 void ShadowHeap::accessBatch(const MemAccess *Batch, size_t Count) {
   for (size_t Record = 0; Record != Count; ++Record) {
     const MemAccess &Access = Batch[Record];
-    // Other segments (stack/static) are outside the allocators' domain.
-    if (Access.Address < Heap.base())
-      continue;
-
-    uint32_t Span = syncToBreak();
-    uint64_t Offset = uint64_t(Access.Address) - Heap.base();
-    if (Offset + Access.Size > Span) {
-      reportViolation(ViolationKind::OutOfSegment, BusAllocName,
-                      Access.Address, Access.Source,
-                      "reference past the segment break " +
-                          hexAddr(Heap.brk()));
+    if (!Access.isSpan()) {
+      checkReference(Access);
       continue;
     }
-
-    if (Access.Source == AccessSource::Application) {
-      // The application may touch only its own live objects; the first
-      // byte that is not live is reported.
-      uint32_t I = 0;
-      while (I != Access.Size && States[Offset + I] == ByteState::UserLive)
-        ++I;
-      if (I == Access.Size)
-        continue;
-      ByteState State = States[Offset + I];
-      ViolationKind Kind = State == ByteState::UserFreed
-                               ? ViolationKind::UseAfterFree
-                               : State == ByteState::Metadata
-                                     ? ViolationKind::MetadataUserOverlap
-                                     : ViolationKind::WildAccess;
-      reportViolation(Kind, BusAllocName, Access.Address + I, Access.Source,
-                      std::string("application ") +
-                          (Access.Kind == AccessKind::Write ? "write"
-                                                            : "read") +
-                          " of " + byteStateName(State) + " byte");
+    if (checkSpanFast(Access))
       continue;
-    }
-
-    // Allocator (and tag-emulation) stores create metadata; storing into a
-    // live object is corruption. Reads are unconstrained: allocators
-    // legitimately read fresh sbrk storage and their own bookkeeping.
-    if (Access.Kind != AccessKind::Write)
-      continue;
-    for (uint32_t I = 0; I != Access.Size; ++I) {
-      if (States[Offset + I] == ByteState::UserLive) {
-        reportViolation(ViolationKind::MetadataUserOverlap, BusAllocName,
-                        Access.Address + I, Access.Source,
-                        "allocator store into live user data");
-        break;
-      }
-    }
-    for (uint32_t I = 0; I != Access.Size; ++I)
-      States[Offset + I] = ByteState::Metadata;
+    // Some byte is not in the state the fast check needs: take the words
+    // one by one, so the violations come out exactly as per-word records
+    // would produce them.
+    for (uint32_t W = 0; W != Access.Words; ++W)
+      checkReference(Access.word(W));
   }
+}
+
+bool ShadowHeap::checkSpanFast(const MemAccess &Span) {
+  const Addr Low = Span.Direction == SpanDirection::Ascending
+                       ? Span.Address
+                       : Span.lastWordAddress();
+  const uint64_t Bytes = 4 * uint64_t(Span.Words);
+  // Other segments (stack/static) are outside the allocators' domain.
+  if (uint64_t(Low) + Bytes <= Heap.base())
+    return true;
+  if (Low < Heap.base())
+    return false;
+  const uint64_t Offset = uint64_t(Low) - Heap.base();
+  if (Offset + Bytes > syncToBreak())
+    return false;
+  const ByteState *First = States.data() + Offset;
+  const ByteState *Last = First + Bytes;
+  if (Span.Source == AccessSource::Application)
+    return std::all_of(First, Last, [](ByteState State) {
+      return State == ByteState::UserLive;
+    });
+  if (Span.Kind != AccessKind::Write)
+    return true;
+  if (std::find(First, Last, ByteState::UserLive) != Last)
+    return false;
+  std::fill(States.begin() + Offset, States.begin() + Offset + Bytes,
+            ByteState::Metadata);
+  return true;
+}
+
+void ShadowHeap::checkReference(const MemAccess &Access) {
+  // Other segments (stack/static) are outside the allocators' domain.
+  if (Access.Address < Heap.base())
+    return;
+
+  uint32_t Span = syncToBreak();
+  uint64_t Offset = uint64_t(Access.Address) - Heap.base();
+  if (Offset + Access.Size > Span) {
+    reportViolation(ViolationKind::OutOfSegment, BusAllocName,
+                    Access.Address, Access.Source,
+                    "reference past the segment break " +
+                        hexAddr(Heap.brk()));
+    return;
+  }
+
+  if (Access.Source == AccessSource::Application) {
+    // The application may touch only its own live objects; the first
+    // byte that is not live is reported.
+    uint32_t I = 0;
+    while (I != Access.Size && States[Offset + I] == ByteState::UserLive)
+      ++I;
+    if (I == Access.Size)
+      return;
+    ByteState State = States[Offset + I];
+    ViolationKind Kind = State == ByteState::UserFreed
+                             ? ViolationKind::UseAfterFree
+                             : State == ByteState::Metadata
+                                   ? ViolationKind::MetadataUserOverlap
+                                   : ViolationKind::WildAccess;
+    reportViolation(Kind, BusAllocName, Access.Address + I, Access.Source,
+                    std::string("application ") +
+                        (Access.Kind == AccessKind::Write ? "write"
+                                                          : "read") +
+                        " of " + byteStateName(State) + " byte");
+    return;
+  }
+
+  // Allocator (and tag-emulation) stores create metadata; storing into a
+  // live object is corruption. Reads are unconstrained: allocators
+  // legitimately read fresh sbrk storage and their own bookkeeping.
+  if (Access.Kind != AccessKind::Write)
+    return;
+  for (uint32_t I = 0; I != Access.Size; ++I) {
+    if (States[Offset + I] == ByteState::UserLive) {
+      reportViolation(ViolationKind::MetadataUserOverlap, BusAllocName,
+                      Access.Address + I, Access.Source,
+                      "allocator store into live user data");
+      break;
+    }
+  }
+  for (uint32_t I = 0; I != Access.Size; ++I)
+    States[Offset + I] = ByteState::Metadata;
 }
 
 void ShadowHeap::noteUserRange(const Allocator &Alloc, Addr Address,

@@ -58,7 +58,10 @@ public:
   ShadowHeap(const SimHeap &Heap, ViolationLog &Log);
 
   /// AccessSink: validates each bus reference in order, folding it into
-  /// the mirror (allocator writes become Metadata).
+  /// the mirror (allocator writes become Metadata). A span's byte range is
+  /// checked in one pass; only a span that reaches a byte the pass cannot
+  /// accept is re-checked word by word, so the violations are exactly those
+  /// of the span's single references.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
   /// HeapStateObserver hooks (see HeapStateObserver.h). Ranges are rounded
@@ -101,6 +104,13 @@ private:
       FlushBus->flush();
   }
 
+  /// Validates one single reference and folds it into the mirror.
+  void checkReference(const MemAccess &Access);
+  /// Validates a whole span in one pass when that is exact: returns true
+  /// (the span handled) if it lies outside the heap, or inside the break
+  /// with every byte acceptable for its source and kind; false, with the
+  /// mirror untouched, if any word needs the per-word check.
+  bool checkSpanFast(const MemAccess &Span);
   void reportViolation(ViolationKind Kind, std::string AllocName,
                        Addr Address, AccessSource Source,
                        std::string Detail);

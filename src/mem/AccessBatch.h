@@ -15,8 +15,12 @@
 /// The batch is a fixed-capacity ring: flush() always drains it completely,
 /// so the write cursor simply wraps to the start after every delivery. The
 /// *effective* capacity is tunable at runtime between 1 (one record per
-/// delivery, the reference for the differential tests) and MaxCapacity
-/// (the bus default).
+/// delivery) and MaxCapacity (the bus default).
+///
+/// expandSpans() is the one way a sink that works word by word (the oracle
+/// caches, the trace writers, CollectingSink) reads spans: it rewrites a
+/// batch as its per-word records, in stream order, into a stack buffer and
+/// hands the buffer to the sink's existing loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,6 +54,42 @@ struct AccessBatch {
 
   void clear() { Fill = 0; }
 };
+
+/// Calls \p Consume(const MemAccess *Records, size_t Count) over the
+/// word-by-word expansion of \p Batch, in stream order and in chunks of at
+/// most AccessBatch::MaxCapacity single references. A batch holding no span
+/// is passed through as it is, in one call.
+template <typename ConsumeFn>
+void expandSpans(const MemAccess *Batch, size_t Count, ConsumeFn &&Consume) {
+  size_t FirstSpan = 0;
+  while (FirstSpan != Count && !Batch[FirstSpan].isSpan())
+    ++FirstSpan;
+  if (FirstSpan == Count) {
+    if (Count != 0)
+      Consume(Batch, Count);
+    return;
+  }
+  MemAccess Buffer[AccessBatch::MaxCapacity];
+  size_t Fill = 0;
+  auto Push = [&](const MemAccess &Word) {
+    Buffer[Fill++] = Word;
+    if (Fill == AccessBatch::MaxCapacity) {
+      Consume(static_cast<const MemAccess *>(Buffer), Fill);
+      Fill = 0;
+    }
+  };
+  for (size_t I = 0; I != Count; ++I) {
+    const MemAccess &Record = Batch[I];
+    if (!Record.isSpan()) {
+      Push(Record);
+      continue;
+    }
+    for (uint32_t W = 0; W != Record.Words; ++W)
+      Push(Record.word(W));
+  }
+  if (Fill != 0)
+    Consume(static_cast<const MemAccess *>(Buffer), Fill);
+}
 
 } // namespace allocsim
 

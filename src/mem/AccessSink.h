@@ -7,8 +7,15 @@
 /// \file
 /// The consumer interface for the reference stream. Cache simulators, the
 /// page-fault simulator, and trace writers all implement AccessSink; the
-/// MemoryBus fans each reference out to every attached sink, which is how
-/// the paper simulated many cache sizes from a single program execution.
+/// MemoryBus fans each record out to every attached sink, which is how the
+/// paper simulated many cache sizes from a single program execution.
+///
+/// A record is one reference or a span of 4-byte words (MemAccess.h), and
+/// every sink must give a span exactly the result its single references
+/// would. The fast sinks (StackSim's kernels, PageSim, ShadowHeap) handle
+/// a span once per block, page or byte range; sinks that work word by word
+/// (CacheSim, the trace writers, CollectingSink) expand spans with
+/// expandSpans (AccessBatch.h) in front of their existing loop.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,7 +33,7 @@ class AccessSink {
 public:
   virtual ~AccessSink();
 
-  /// Consumes \p Count references, in stream order. This is the one entry
+  /// Consumes \p Count records, in stream order. This is the one entry
   /// point every sink implements: the MemoryBus hands each staged batch to
   /// every attached sink through it, and trace replays deliver in batches
   /// too.

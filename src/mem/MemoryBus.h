@@ -7,10 +7,17 @@
 /// \file
 /// MemoryBus receives every data reference made by the simulated program and
 /// allocator, keeps per-source/per-kind reference counts (the "Data Refs"
-/// column of the paper's Table 2), and forwards each reference to all
-/// attached sinks.
+/// column of the paper's Table 2), and forwards each record to all attached
+/// sinks.
 ///
-/// Delivery is batched: emitted references are staged in a fixed-capacity
+/// A record is one reference or a span of 4-byte words (MemAccess.h). The
+/// bus counts a record's Words, so every count is in references whatever
+/// the records look like. emitSpan() splits a sweep longer than
+/// MaxSpanWords into several records; a span record that is not made of
+/// 4-byte-aligned 4-byte words, or whose words would run past either end
+/// of the 32-bit space, is fatal.
+///
+/// Delivery is batched: emitted records are staged in a fixed-capacity
 /// AccessBatch and handed to the sinks through AccessSink::accessBatch when
 /// the batch fills or flush() is called. Counters update at *emit* time, so
 /// totalAccesses() et al. are exact at any moment; sink-side statistics
@@ -57,36 +64,49 @@ public:
   /// Bulk replay entry (trace readers): counts and stages every record.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
-  /// Emit: counts the reference and stages it for delivery, flushing when
-  /// the effective batch capacity is reached.
+  /// Emit: counts the record's references and stages it for delivery,
+  /// flushing when the effective batch capacity is reached. A malformed
+  /// span (see file comment) is fatal.
   void emit(const MemAccess &Access) {
     assert(!Flushing && "emit into the bus from inside a flush");
-    ++Total;
-    ++BySource[static_cast<unsigned>(Access.Source)];
-    ++ByKind[static_cast<unsigned>(Access.Kind)];
+    if (Access.isSpan() && !wellFormedSpan(Access))
+      checkSpan(Access);
+    Total += Access.Words;
+    BySource[static_cast<unsigned>(Access.Source)] += Access.Words;
+    ByKind[static_cast<unsigned>(Access.Kind)] += Access.Words;
     Batch.push(Access);
     if (Batch.size() >= Capacity)
       flush();
   }
 
-  /// Convenience emit.
+  /// Emits one reference.
   void emit(Addr Address, uint8_t Size, AccessKind Kind, AccessSource Source) {
     emit(MemAccess{Address, Size, Kind, Source});
+  }
+
+  /// Emits \p Words 4-byte words stepping from \p Base in \p Direction, as
+  /// one record per MaxSpanWords words. Zero words emit nothing.
+  void emitSpan(Addr Base, uint32_t Words, SpanDirection Direction,
+                AccessKind Kind, AccessSource Source) {
+    if (Words - 1 < MaxSpanWords)
+      emit(MemAccess{Base, 4, Kind, Source, Direction,
+                     static_cast<uint16_t>(Words)});
+    else if (Words != 0)
+      emitLongSpan(Base, Words, Direction, Kind, Source);
   }
 
   /// Delivers all staged references to every attached sink, in stream
   /// order. No-op when nothing is pending. Idempotent; cheap when empty.
   void flush();
 
-  /// Sets the effective batch capacity, clamped to
-  /// [1, AccessBatch::MaxCapacity]. 1 delivers every emit on its own (one
-  /// accessBatch of size 1), the reference the differential tests and the
-  /// perf harness compare batching against. Pending references are flushed
-  /// first so the change never reorders the stream.
+  /// Sets the effective batch capacity in records, clamped to
+  /// [1, AccessBatch::MaxCapacity]. 1 delivers every emitted record on its
+  /// own (one accessBatch of size 1). Pending records are flushed first so
+  /// the change never reorders the stream.
   void setBatchCapacity(size_t NewCapacity);
   size_t batchCapacity() const { return Capacity; }
 
-  /// References staged but not yet delivered.
+  /// Records staged but not yet delivered.
   size_t pendingAccesses() const { return Batch.size(); }
 
   /// Total references seen (emit-time; includes staged ones).
@@ -124,6 +144,21 @@ private:
 
   bool isAttached(const AccessSink *Sink) const;
   void compactSinks();
+  /// True if \p Span is 4-byte words, 4-byte aligned, that stay inside the
+  /// 32-bit space (the inline test; checkSpan diagnoses a failure).
+  static bool wellFormedSpan(const MemAccess &Span) {
+    const uint64_t Reach = 4 * uint64_t(Span.Words - 1);
+    return Span.Words != 0 && Span.Size == 4 && Span.Address % 4 == 0 &&
+           (Span.Direction == SpanDirection::Ascending
+                ? Span.Address + Reach <= 0xFFFFFFFCull
+                : Span.Address >= Reach);
+  }
+  /// Fatal unless \p Span is 4-byte words, 4-byte aligned, that stay
+  /// inside the 32-bit space.
+  static void checkSpan(const MemAccess &Span);
+  /// emitSpan past MaxSpanWords: one record per MaxSpanWords words.
+  void emitLongSpan(Addr Base, uint32_t Words, SpanDirection Direction,
+                    AccessKind Kind, AccessSource Source);
 };
 
 } // namespace allocsim

@@ -40,17 +40,15 @@ BinaryTraceWriter::BinaryTraceWriter(std::ostream &Stream) : OS(Stream) {
 }
 
 void BinaryTraceWriter::accessBatch(const MemAccess *Batch, size_t N) {
-  unsigned char Buffer[AccessBatch::MaxCapacity * BinaryRecordBytes];
-  while (N != 0) {
-    const size_t Chunk = std::min(N, AccessBatch::MaxCapacity);
+  // expandSpans hands over at most AccessBatch::MaxCapacity records a call.
+  expandSpans(Batch, N, [this](const MemAccess *Words, size_t Chunk) {
+    unsigned char Buffer[AccessBatch::MaxCapacity * BinaryRecordBytes];
     for (size_t I = 0; I != Chunk; ++I)
-      encodeBinaryRecord(Batch[I], Buffer + I * BinaryRecordBytes);
+      encodeBinaryRecord(Words[I], Buffer + I * BinaryRecordBytes);
     OS.write(reinterpret_cast<const char *>(Buffer),
              static_cast<std::streamsize>(Chunk * BinaryRecordBytes));
     Count += Chunk;
-    Batch += Chunk;
-    N -= Chunk;
-  }
+  });
 }
 
 BinaryTraceReader::BinaryTraceReader(std::istream &Stream) : IS(Stream) {
@@ -69,6 +67,7 @@ bool BinaryTraceReader::next(MemAccess &Access) {
       reportFatalError("binary trace: truncated record");
     return false;
   }
+  Access = MemAccess{};
   Access.Address = static_cast<Addr>(Record[0]) |
                    (static_cast<Addr>(Record[1]) << 8) |
                    (static_cast<Addr>(Record[2]) << 16) |
@@ -84,18 +83,20 @@ bool BinaryTraceReader::next(MemAccess &Access) {
 }
 
 void TextTraceWriter::accessBatch(const MemAccess *Batch, size_t N) {
-  std::string Buffer;
-  Buffer.reserve(N * 20);
-  char Line[48];
-  for (size_t I = 0; I != N; ++I) {
-    const MemAccess &Access = Batch[I];
-    const int Length =
-        std::snprintf(Line, sizeof(Line), "%c %08x %u %s\n",
-                      kindChar(Access.Kind), Access.Address, Access.Size,
-                      accessSourceName(Access.Source));
-    Buffer.append(Line, static_cast<size_t>(Length));
-  }
-  OS << Buffer;
+  expandSpans(Batch, N, [this](const MemAccess *Words, size_t Count) {
+    std::string Buffer;
+    Buffer.reserve(Count * 20);
+    char Line[48];
+    for (size_t I = 0; I != Count; ++I) {
+      const MemAccess &Access = Words[I];
+      const int Length =
+          std::snprintf(Line, sizeof(Line), "%c %08x %u %s\n",
+                        kindChar(Access.Kind), Access.Address, Access.Size,
+                        accessSourceName(Access.Source));
+      Buffer.append(Line, static_cast<size_t>(Length));
+    }
+    OS << Buffer;
+  });
 }
 
 bool TextTraceReader::next(MemAccess &Access) {
@@ -107,6 +108,7 @@ bool TextTraceReader::next(MemAccess &Access) {
     return false;
   if (!(IS >> std::hex >> Address >> std::dec >> Size >> SourceName))
     reportFatalError("text trace: truncated record");
+  Access = MemAccess{};
   if (Kind == "R")
     Access.Kind = AccessKind::Read;
   else if (Kind == "W")

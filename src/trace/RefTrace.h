@@ -9,7 +9,9 @@
 /// execution-driven precisely to avoid "storing large trace files", and so
 /// do we by default — but a trace format is still essential for regression
 /// tests, for inspecting allocator behaviour, and for feeding the simulators
-/// from external traces. Two encodings are provided:
+/// from external traces. Two encodings are provided, both one entry per
+/// single reference (the writers expand spans, so the formats predate them
+/// and their bytes do not depend on how the bus grouped the words):
 ///
 ///  * binary: 6 bytes per record, magic-tagged, for bulk traces;
 ///  * text:   one "R|W <hexaddr> <size> <src>" line per record, for humans.
@@ -28,12 +30,15 @@
 
 namespace allocsim {
 
-/// AccessSink that appends every reference to an in-memory vector. Useful in
-/// tests and as a staging buffer for trace files.
+/// AccessSink that appends every reference to an in-memory vector, spans
+/// expanded to their single references. Useful in tests and as a staging
+/// buffer for trace files.
 class CollectingSink final : public AccessSink {
 public:
   void accessBatch(const MemAccess *Batch, size_t Count) override {
-    Records.insert(Records.end(), Batch, Batch + Count);
+    expandSpans(Batch, Count, [this](const MemAccess *Words, size_t N) {
+      Records.insert(Records.end(), Words, Words + N);
+    });
   }
 
   const std::vector<MemAccess> &records() const { return Records; }

@@ -49,7 +49,8 @@ public:
   /// used page is a run of zero-stack-distance hits, so the whole run
   /// collapses to two counter additions — no table lookup, no head or tree
   /// work. Records that leave the page (or straddle one) take touchPages
-  /// one at a time.
+  /// one at a time; a span there costs one page-touch per page it covers,
+  /// its other words counting as zero-distance hits.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
 
   /// Number of references processed.
@@ -108,6 +109,9 @@ private:
   /// Touches every page \p Access covers, updating the stack distances and
   /// the LRU order.
   void touchPages(const MemAccess &Access);
+
+  /// touchPages for a span: each page it covers once, in span order.
+  void touchSpan(const MemAccess &Span);
 
   /// The page-change path for a page other than the most recent one.
   void changePage(uint64_t Page);

@@ -6,6 +6,7 @@
 #include "inject/FaultInjector.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 
@@ -143,26 +144,34 @@ void Driver::touchObject(Addr Address, uint32_t ObjectWords, uint32_t Words,
                          AccessKind Kind) {
   assert(ObjectWords > 0 && "touch of empty object");
   // Sequential field sweep from the object's start, wrapping for touches
-  // longer than the object.
-  uint32_t Offset = 0;
-  for (uint32_t I = 0; I != Words; ++I) {
-    Bus.emit(Address + 4 * Offset, 4, Kind, AccessSource::Application);
-    if (++Offset == ObjectWords)
-      Offset = 0;
+  // longer than the object: one ascending span per lap.
+  for (uint32_t Left = Words; Left != 0;) {
+    const uint32_t Lap = std::min(Left, ObjectWords);
+    Bus.emitSpan(Address, Lap, SpanDirection::Ascending, Kind,
+                 AccessSource::Application);
+    Left -= Lap;
   }
   chargeRefs(Words);
 }
 
 void Driver::touchStack(uint32_t Words, AccessKind Kind) {
-  // Zig-zag sweep: the push/pop address pattern of call frames.
-  for (uint32_t I = 0; I != Words; ++I) {
-    Bus.emit(StackBase + StackPos, 4, Kind, AccessSource::Application);
-    if (StackPos + 4 >= StackWindowBytes)
-      StackDir = -1;
-    else if (StackPos == 0)
-      StackDir = 1;
-    StackPos = static_cast<uint32_t>(static_cast<int>(StackPos) +
-                                     4 * StackDir);
+  // Zig-zag sweep, the push/pop address pattern of call frames: one span
+  // per leg. A leg runs from StackPos to the window's end in its direction,
+  // and the word after an end steps back the other way.
+  const uint32_t TopPos = StackWindowBytes - 4;
+  for (uint32_t Left = Words; Left != 0;) {
+    const bool Up = StackPos != TopPos && (StackPos == 0 || StackDir > 0);
+    const uint32_t LegWords = (Up ? TopPos - StackPos : StackPos) / 4 + 1;
+    const uint32_t Run = std::min(Left, LegWords);
+    Bus.emitSpan(StackBase + StackPos, Run,
+                 Up ? SpanDirection::Ascending : SpanDirection::Descending,
+                 Kind, AccessSource::Application);
+    Left -= Run;
+    const uint32_t Reach = 4 * (Run - 1);
+    const uint32_t Last = Up ? StackPos + Reach : StackPos - Reach;
+    // The next word steps on along the leg, or back from its end.
+    StackDir = (Up == (Run != LegWords)) ? 1 : -1;
+    StackPos = StackDir > 0 ? Last + 4 : Last - 4;
   }
   chargeRefs(Words);
 }

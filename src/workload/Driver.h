@@ -10,10 +10,12 @@
 ///
 ///  * Touch events sweep an object's words sequentially from its start
 ///    (wrapping if the touch is longer than the object), the access pattern
-///    of initialization and field traversal.
+///    of initialization and field traversal. Each lap is one ascending span
+///    record (MemAccess.h).
 ///  * Stack touches zig-zag through a small stack segment, modeling the
 ///    high-locality non-heap data references that dilute every program's
-///    miss rate.
+///    miss rate. Each leg of the zig-zag is one span record, ascending or
+///    descending.
 ///  * Every application reference charges the profile's
 ///    instructions-per-reference to the cost model, reproducing the paper's
 ///    instruction totals. The ratio is split exactly into a whole part and a

@@ -5,18 +5,24 @@
 // Every sink consumes the reference stream through accessBatch, in batches
 // whose boundaries fall wherever the bus happens to flush: when its 256
 // records fill, at HeapCheck's drain points, at the end of the run. No
-// result may depend on where those boundaries fall. This oracle captures a
-// run's exact stream through runExperiment's Observer, replays it into
-// fresh sinks — a CacheBank with set profiles on, a PageSim with telemetry
-// attached, a BinaryTraceWriter — in chunks of 1, 193 and 256 records, and
-// requires every chunking to reproduce the run's own cache statistics,
-// per-set miss profiles, fault curve, page-run histogram and trace bytes.
+// result may depend on where those boundaries fall, nor on whether a sweep
+// arrives as one span record or as its single references. This oracle
+// captures a run's exact record stream through runExperiment's Observer,
+// expands it word by word, and replays both the span stream and the
+// expansion into fresh sinks — the ladder and a 512-set LRU stack kernel
+// (both CacheSweep), a CacheBank with set profiles on, a PageSim with
+// telemetry attached, a BinaryTraceWriter — in chunks of 1, 193 and 256
+// records. Every replay must reproduce the run's own cache statistics,
+// per-set miss profiles, fault curve, page-run histogram and trace bytes,
+// and the one-pass kernels must agree with each other replay and with the
+// CacheBank.
 //
 //===----------------------------------------------------------------------===//
 
 #ifndef ALLOCSIM_TESTS_CHUNKORACLE_H
 #define ALLOCSIM_TESTS_CHUNKORACLE_H
 
+#include "cache/StackSim.h"
 #include "core/Lab.h"
 #include "trace/RefTrace.h"
 #include "vm/PageSim.h"
@@ -24,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -46,13 +53,49 @@ private:
   BinaryTraceWriter Writer{Trace};
 };
 
+/// The word-by-word expansion of \p Stream: one record per reference.
+inline std::vector<MemAccess>
+expandStream(const std::vector<MemAccess> &Stream) {
+  CollectingSink Words;
+  Words.accessBatch(Stream.data(), Stream.size());
+  return Words.records();
+}
+
+/// The 512-set LRU family (16K..256K, 1..16-way) the stack kernel serves.
+inline std::vector<CacheConfig> assoc512Family() {
+  std::vector<CacheConfig> Family;
+  for (uint32_t Assoc = 1; Assoc <= 16; Assoc *= 2)
+    Family.push_back(CacheConfig{16 * 1024 * Assoc, 32, Assoc});
+  return Family;
+}
+
+/// Statistics and per-set miss profiles of every member of a cache family.
+struct FamilyResult {
+  std::vector<CacheStats> Stats;
+  std::vector<std::vector<uint64_t>> SetMisses;
+};
+
+inline FamilyResult familyResult(const CacheSweep &Sweep) {
+  FamilyResult Out;
+  for (size_t I = 0; I != Sweep.size(); ++I) {
+    Out.Stats.push_back(Sweep.statsFor(I));
+    Out.SetMisses.push_back(Sweep.setMissProfile(I));
+  }
+  return Out;
+}
+
 /// What fresh sinks compute from one chunked replay of a stream.
 struct ChunkedReplay {
+  /// The CacheBank over the run's caches.
   std::vector<CacheStats> Caches;
   std::vector<std::vector<uint64_t>> SetMisses;
   /// Each cache's per-set misses folded into a histogram, one record per
   /// set, exactly as runExperiment folds cache.<I>.set_misses.
   std::vector<HistogramSnapshot> SetMissHists;
+  /// CacheSweeps over the run's caches (the ladder, for the paper's
+  /// sweep) and over assoc512Family (the stack kernel).
+  FamilyResult Sweep;
+  FamilyResult Assoc;
   std::vector<double> FaultsPerRef;
   uint64_t DistinctPages = 0;
   HistogramSnapshot PageRunLen;
@@ -67,12 +110,15 @@ inline ChunkedReplay replayInChunks(const ExperimentConfig &Config,
   CacheBank Caches;
   for (const CacheConfig &Cache : Config.Caches)
     Caches.cache(Caches.addCache(Cache)).enableSetProfile();
+  CacheSweep Sweep(Config.Caches), Assoc(assoc512Family());
+  Sweep.enableSetProfile();
+  Assoc.enableSetProfile();
   Telemetry Telem(TelemetryLevel::Full);
   PageSim Paging(Config.PageBytes);
   Paging.attachTelemetry(&Telem);
   std::ostringstream Trace(std::ios::binary);
   BinaryTraceWriter Writer(Trace);
-  AccessSink *const Sinks[] = {&Caches, &Paging, &Writer};
+  AccessSink *const Sinks[] = {&Caches, &Sweep, &Assoc, &Paging, &Writer};
   for (AccessSink *Sink : Sinks)
     for (size_t Offset = 0; Offset < Stream.size(); Offset += Chunk)
       Sink->accessBatch(Stream.data() + Offset,
@@ -89,6 +135,8 @@ inline ChunkedReplay replayInChunks(const ExperimentConfig &Config,
       Hist.record(Misses);
     Out.SetMissHists.push_back(Hist.snapshot());
   }
+  Out.Sweep = familyResult(Sweep);
+  Out.Assoc = familyResult(Assoc);
   for (uint32_t MemoryKb : Config.PagingMemoryKb)
     Out.FaultsPerRef.push_back(Paging.faultRateForMemoryKb(MemoryKb));
   Out.DistinctPages = Paging.distinctPages();
@@ -106,50 +154,77 @@ inline void expectCacheStatsEqual(const CacheStats &Got,
   EXPECT_EQ(Got.MissesBySource, Want.MissesBySource);
 }
 
-/// Runs \p Config at full telemetry with a RunTap on its bus, then requires
-/// replays of the tapped stream in chunks of 1, 193 and 256 to agree with
-/// each other and with the run: cache statistics, per-set miss profiles
-/// (raw across chunkings, folded against the run's telemetry), fault rates,
-/// distinct pages, the vm.page_run_len histogram and the trace bytes.
-/// Returns the run's result.
+/// Exact equality of two families' statistics and per-set miss profiles.
+inline void expectFamilyEqual(const FamilyResult &Got,
+                              const FamilyResult &Want) {
+  ASSERT_EQ(Got.Stats.size(), Want.Stats.size());
+  for (size_t I = 0; I != Got.Stats.size(); ++I) {
+    SCOPED_TRACE("member " + std::to_string(I));
+    expectCacheStatsEqual(Got.Stats[I], Want.Stats[I]);
+  }
+  EXPECT_EQ(Got.SetMisses, Want.SetMisses);
+}
+
+/// Runs \p Config at full telemetry with a RunTap on its bus, checks that
+/// the stream carries spans whose words add up to the run's references,
+/// then requires replays of the span stream and of its word-by-word
+/// expansion, in chunks of 1, 193 and 256, to agree with each other and
+/// with the run: cache statistics (CacheBank, and the CacheSweep over the
+/// same caches), per-set miss profiles (raw across replays, folded against
+/// the run's telemetry), the 512-set stack kernel's statistics and
+/// profiles, fault rates, distinct pages, the vm.page_run_len histogram
+/// and the trace bytes. Returns the run's result.
 inline RunResult expectChunkingInvariant(ExperimentConfig Config,
                                          const std::string &Label) {
   SCOPED_TRACE(Label);
   Config.Telemetry = TelemetryLevel::Full;
   RunTap Tap;
   RunResult Run = runExperiment(Config, nullptr, &Tap);
-  EXPECT_EQ(Tap.Stream.size(), Run.TotalRefs);
+  uint64_t Words = 0;
+  for (const MemAccess &Record : Tap.Stream)
+    Words += Record.Words;
+  EXPECT_EQ(Words, Run.TotalRefs);
+  EXPECT_LT(Tap.Stream.size(), Run.TotalRefs) << "the run emitted no span";
   EXPECT_FALSE(Tap.Stream.empty());
+  const std::vector<MemAccess> Expanded = expandStream(Tap.Stream);
+  EXPECT_EQ(Expanded.size(), Run.TotalRefs);
 
-  std::vector<std::vector<uint64_t>> FirstSetMisses;
-  for (size_t Chunk : {size_t(1), size_t(193), AccessBatch::MaxCapacity}) {
-    SCOPED_TRACE("chunks of " + std::to_string(Chunk));
-    ChunkedReplay Replay = replayInChunks(Config, Tap.Stream, Chunk);
-    if (FirstSetMisses.empty())
-      FirstSetMisses = Replay.SetMisses;
-    EXPECT_EQ(Replay.SetMisses, FirstSetMisses);
+  std::optional<ChunkedReplay> First;
+  const std::vector<MemAccess> *const Streams[] = {&Tap.Stream, &Expanded};
+  for (const std::vector<MemAccess> *Stream : Streams)
+    for (size_t Chunk : {size_t(1), size_t(193), AccessBatch::MaxCapacity}) {
+      SCOPED_TRACE(std::string(Stream == &Expanded ? "expanded" : "spans") +
+                   " in chunks of " + std::to_string(Chunk));
+      ChunkedReplay Replay = replayInChunks(Config, *Stream, Chunk);
+      if (!First)
+        First = Replay;
+      EXPECT_EQ(Replay.SetMisses, First->SetMisses);
+      expectFamilyEqual(Replay.Sweep, First->Sweep);
+      expectFamilyEqual(Replay.Assoc, First->Assoc);
 
-    EXPECT_EQ(Replay.Caches.size(), Run.Caches.size());
-    for (size_t I = 0; I != std::min(Replay.Caches.size(), Run.Caches.size());
-         ++I) {
-      SCOPED_TRACE(Run.Caches[I].Config.describe());
-      expectCacheStatsEqual(Replay.Caches[I], Run.Caches[I].Stats);
-      EXPECT_EQ(Replay.SetMissHists[I],
-                Run.Telemetry.histogram("cache." + std::to_string(I) +
-                                        ".set_misses"));
+      EXPECT_EQ(Replay.Caches.size(), Run.Caches.size());
+      for (size_t I = 0;
+           I != std::min(Replay.Caches.size(), Run.Caches.size()); ++I) {
+        SCOPED_TRACE(Run.Caches[I].Config.describe());
+        expectCacheStatsEqual(Replay.Caches[I], Run.Caches[I].Stats);
+        expectCacheStatsEqual(Replay.Sweep.Stats[I], Run.Caches[I].Stats);
+        EXPECT_EQ(Replay.Sweep.SetMisses[I], Replay.SetMisses[I]);
+        EXPECT_EQ(Replay.SetMissHists[I],
+                  Run.Telemetry.histogram("cache." + std::to_string(I) +
+                                          ".set_misses"));
+      }
+
+      if (!Config.PagingMemoryKb.empty()) {
+        std::vector<double> RunFaults;
+        for (const PagingPoint &Point : Run.Paging)
+          RunFaults.push_back(Point.FaultsPerRef);
+        EXPECT_EQ(Replay.FaultsPerRef, RunFaults);
+        EXPECT_EQ(Replay.DistinctPages, Run.DistinctPages);
+        EXPECT_EQ(Replay.PageRunLen,
+                  Run.Telemetry.histogram("vm.page_run_len"));
+      }
+      EXPECT_EQ(Replay.Trace, Tap.Trace.str());
     }
-
-    if (!Config.PagingMemoryKb.empty()) {
-      std::vector<double> RunFaults;
-      for (const PagingPoint &Point : Run.Paging)
-        RunFaults.push_back(Point.FaultsPerRef);
-      EXPECT_EQ(Replay.FaultsPerRef, RunFaults);
-      EXPECT_EQ(Replay.DistinctPages, Run.DistinctPages);
-      EXPECT_EQ(Replay.PageRunLen,
-                Run.Telemetry.histogram("vm.page_run_len"));
-    }
-    EXPECT_EQ(Replay.Trace, Tap.Trace.str());
-  }
   return Run;
 }
 

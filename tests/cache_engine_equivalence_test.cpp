@@ -8,7 +8,9 @@
 // adversarial families, one record at a time and in chunks) and end to end
 // (corpus scripts x all nine allocators, and the Figure 6-8 sweep through
 // the workload engine), where the automatically chosen engine is compared
-// with a CacheBank observing the same run's reference stream.
+// with a CacheBank observing the same run's reference stream. Span records
+// are checked too: the kernels probe a span once per block, and must match
+// CacheBank fed the span's words one by one.
 //
 // A failure here means the one-pass engine and the reference simulators
 // disagree; neither side is trusted over the other.
@@ -19,6 +21,7 @@
 #include "cache/StackSim.h"
 #include "core/Lab.h"
 #include "support/Rng.h"
+#include "trace/RefTrace.h"
 
 #include <gtest/gtest.h>
 
@@ -158,6 +161,92 @@ void checkFamilyOnStream(const std::vector<CacheConfig> &Family,
   }
 }
 
+/// Span records mixed with single references, over the shapes the
+/// kernels' per-block span probe must get right: ascending and descending
+/// spans; spans inside one block and across many; spans of 300 to 3000
+/// words, longer than a 1K cache, so one span evicts its own blocks; and
+/// an ascending span ending at 0xFFFFFFFC plus a descending one starting
+/// there.
+std::vector<MemAccess> synthesizeSpanStream(uint64_t Seed, size_t Count) {
+  Rng R(Seed);
+  std::vector<MemAccess> Stream;
+  const Addr Bases[] = {HeapBase, HeapBase + 4096, StackBase};
+  for (size_t I = 0; I != Count; ++I) {
+    MemAccess Acc;
+    Acc.Kind = R.nextBool(0.3) ? AccessKind::Write : AccessKind::Read;
+    Acc.Source = static_cast<AccessSource>(R.nextBelow(NumAccessSources));
+    const Addr Base = Bases[R.nextBelow(std::size(Bases))] +
+                      4 * static_cast<Addr>(R.nextBelow(64 * 1024));
+    if (R.nextBool(0.25)) {
+      Acc.Address = Base + static_cast<Addr>(R.nextBelow(4));
+      Acc.Size = static_cast<uint8_t>(1 + R.nextBelow(16));
+      Stream.push_back(Acc);
+      continue;
+    }
+    const double Shape = R.nextDouble();
+    const uint64_t Words = Shape < 0.05   ? 300 + R.nextBelow(2701)
+                           : Shape < 0.25 ? 17 + R.nextBelow(240)
+                                          : 2 + R.nextBelow(15);
+    Acc.Words = static_cast<uint16_t>(Words);
+    Acc.Direction = R.nextBool(0.5) ? SpanDirection::Descending
+                                    : SpanDirection::Ascending;
+    Acc.Address = Acc.Direction == SpanDirection::Ascending
+                      ? Base
+                      : Base + 4 * static_cast<Addr>(Words - 1);
+    Stream.push_back(Acc);
+  }
+  MemAccess Top;
+  Top.Words = 40;
+  Top.Address = 0xFFFFFFFCu - 4 * 39;
+  Stream.push_back(Top);
+  Top.Address = 0xFFFFFFFCu;
+  Top.Direction = SpanDirection::Descending;
+  Stream.push_back(Top);
+  return Stream;
+}
+
+/// Feeds \p Stream's spans to StackSim one record at a time and in chunks
+/// of 256, and its word-by-word expansion to a CacheBank, all with set
+/// profiles on; every member's statistics and per-set misses must agree.
+void checkFamilyOnSpanStream(const std::vector<CacheConfig> &Family,
+                             const std::vector<MemAccess> &Stream,
+                             const std::string &What) {
+  ASSERT_NE(onePassKernelFor(Family), OnePassKernel::None) << What;
+  CollectingSink Expansion;
+  Expansion.accessBatch(Stream.data(), Stream.size());
+  const std::vector<MemAccess> &Words = Expansion.records();
+  ASSERT_GT(Words.size(), Stream.size());
+
+  CacheBank Bank;
+  for (const CacheConfig &Config : Family)
+    Bank.cache(Bank.addCache(Config)).enableSetProfile();
+  StackSim SingleOne(Family), ChunkedOne(Family);
+  SingleOne.enableSetProfile();
+  ChunkedOne.enableSetProfile();
+
+  constexpr size_t Chunk = 256;
+  for (size_t Offset = 0; Offset < Words.size(); Offset += Chunk)
+    Bank.accessBatch(Words.data() + Offset,
+                     std::min(Chunk, Words.size() - Offset));
+  for (const MemAccess &Acc : Stream)
+    SingleOne.access(Acc);
+  for (size_t Offset = 0; Offset < Stream.size(); Offset += Chunk)
+    ChunkedOne.accessBatch(Stream.data() + Offset,
+                           std::min(Chunk, Stream.size() - Offset));
+
+  for (size_t I = 0; I != Family.size(); ++I) {
+    const std::string Member = What + ", member " + Family[I].describe();
+    expectStatsEqual(Bank.cache(I).stats(), SingleOne.statsFor(I),
+                     Member + " (one span at a time)");
+    expectStatsEqual(Bank.cache(I).stats(), ChunkedOne.statsFor(I),
+                     Member + " (chunked spans)");
+    EXPECT_EQ(Bank.cache(I).setMissProfile(), SingleOne.setMissProfile(I))
+        << Member << " set profile (one span at a time)";
+    EXPECT_EQ(Bank.cache(I).setMissProfile(), ChunkedOne.setMissProfile(I))
+        << Member << " set profile (chunked spans)";
+  }
+}
+
 std::vector<std::filesystem::path> corpusScripts() {
   std::vector<std::filesystem::path> Paths;
   for (const auto &Entry :
@@ -259,6 +348,26 @@ TEST(CacheEngineEquivalenceTest, TinyStreamEdges) {
       EXPECT_EQ(Bank.cache(I).stats().Misses, 2u);
     }
   }
+}
+
+TEST(CacheEngineEquivalenceTest, SpanStreamsMatchExpansion) {
+  // Every block size the geometry allows, from one word per block up: a
+  // ladder of 1K..64K direct-mapped caches and a 64-set LRU family of 1 to
+  // 8 ways, against CacheBank fed the same stream word by word.
+  for (uint32_t Block = 4; Block <= 128; Block *= 2) {
+    std::vector<CacheConfig> Lru;
+    for (uint32_t Assoc = 1; Assoc <= 8; Assoc *= 2)
+      Lru.push_back(CacheConfig{64 * Block * Assoc, Block, Assoc});
+    const std::vector<MemAccess> Stream = synthesizeSpanStream(Block, 3000);
+    const std::string Label = std::to_string(Block) + "B blocks";
+    checkFamilyOnSpanStream(directMappedSweep(1, 64, Block), Stream,
+                            "ladder, " + Label);
+    checkFamilyOnSpanStream(Lru, Stream, "64-set LRU, " + Label);
+  }
+  const std::vector<MemAccess> Stream = synthesizeSpanStream(20261017, 3000);
+  checkFamilyOnSpanStream(paperCacheSweep(), Stream, "paper sweep");
+  checkFamilyOnSpanStream(assocFamily(), Stream, "512-set LRU");
+  checkFamilyOnSpanStream(fullyAssocFamily(), Stream, "fully associative");
 }
 
 TEST(CacheEngineEquivalenceTest, KernelChoicePinsFamilyShapes) {

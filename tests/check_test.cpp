@@ -307,6 +307,109 @@ TEST(CheckBusTest, StackAccessesAreIgnored) {
   EXPECT_TRUE(H.Check.violations().empty());
 }
 
+namespace {
+
+/// What a shadow concluded from one stream: its violations, in order, and
+/// the final state of every heap byte.
+struct ShadowVerdict {
+  std::vector<std::string> Violations;
+  std::vector<ViolationKind> Kinds;
+  std::vector<ByteState> Bytes;
+};
+
+/// Builds a FirstFit heap with objects A and C live and B between them
+/// freed, then feeds the bus spans that cross every kind of byte — live,
+/// freed, allocator bookkeeping, unallocated, past the break, below the
+/// heap — either as span records or as their single references.
+ShadowVerdict shadowVerdict(bool AsSpans) {
+  CheckHarness H;
+  FirstFit Alloc(H.Heap, H.Cost);
+  H.Check.attachAllocator(Alloc);
+  const Addr A = Alloc.malloc(32);
+  const Addr B = Alloc.malloc(32);
+  const Addr C = Alloc.malloc(32);
+  Alloc.free(B);
+  EXPECT_LT(A, B);
+  EXPECT_LT(B, C);
+
+  auto Span = [](Addr First, uint32_t Words, SpanDirection Direction,
+                 AccessKind Kind, AccessSource Source) {
+    return MemAccess{First, 4, Kind, Source, Direction,
+                     static_cast<uint16_t>(Words)};
+  };
+  const uint32_t AcrossWords = (C + 32 - A) / 4;
+  const Addr Break = H.Heap.brk();
+  const MemAccess Spans[] = {
+      // A use-after-free (and header words) in the middle of a sweep.
+      Span(A, AcrossWords, SpanDirection::Ascending, AccessKind::Read,
+           AccessSource::Application),
+      Span(C + 28, AcrossWords, SpanDirection::Descending, AccessKind::Write,
+           AccessSource::Application),
+      // Clean sweeps: the one-pass check alone.
+      Span(C, 8, SpanDirection::Ascending, AccessKind::Read,
+           AccessSource::Application),
+      // Sweeps whose only bad word is their last.
+      Span(C, 9, SpanDirection::Ascending, AccessKind::Read,
+           AccessSource::Application),
+      Span(A + 28, 9, SpanDirection::Descending, AccessKind::Read,
+           AccessSource::Application),
+      Span(A - 8, 3, SpanDirection::Ascending, AccessKind::Write,
+           AccessSource::Allocator),
+      Span(A, AcrossWords, SpanDirection::Ascending, AccessKind::Read,
+           AccessSource::Allocator),
+      // Through the unallocated tail and past the segment break.
+      Span(Break - 16, 12, SpanDirection::Ascending, AccessKind::Read,
+           AccessSource::Application),
+      Span(Break + 8, 6, SpanDirection::Descending, AccessKind::Write,
+           AccessSource::Allocator),
+      // From below the heap into it.
+      Span(H.Heap.base() - 8, 6, SpanDirection::Ascending, AccessKind::Read,
+           AccessSource::Application),
+      // An allocator store across live data, then the application back.
+      Span(A + 8, 4, SpanDirection::Ascending, AccessKind::Write,
+           AccessSource::TagEmulation),
+      Span(A, 8, SpanDirection::Ascending, AccessKind::Read,
+           AccessSource::Application),
+  };
+  for (const MemAccess &Record : Spans) {
+    if (AsSpans)
+      H.Bus.emit(Record);
+    else
+      for (uint32_t W = 0; W != Record.Words; ++W)
+        H.Bus.emit(Record.word(W));
+  }
+  H.Bus.flush();
+
+  ShadowVerdict Out;
+  for (const CheckViolation &V : H.Check.violations()) {
+    Out.Violations.push_back(V.message() + " @op " +
+                             std::to_string(V.OpIndex));
+    Out.Kinds.push_back(V.Kind);
+  }
+  for (Addr Byte = H.Heap.base(); Byte != H.Heap.brk(); ++Byte)
+    Out.Bytes.push_back(H.Check.shadow().byteState(Byte));
+  return Out;
+}
+
+} // namespace
+
+TEST(CheckBusTest, ShadowSpansMatchPerWordExpansion) {
+  // The shadow checks a span's bytes in one pass and drops to per-word
+  // checks only where that pass finds a byte it cannot accept, so the
+  // violations — kind, address, source, operation, order — and the final
+  // byte states equal those of the span's single references.
+  const ShadowVerdict Spans = shadowVerdict(true);
+  const ShadowVerdict Words = shadowVerdict(false);
+  EXPECT_EQ(Spans.Violations, Words.Violations);
+  EXPECT_EQ(Spans.Bytes, Words.Bytes);
+  for (ViolationKind Kind :
+       {ViolationKind::UseAfterFree, ViolationKind::MetadataUserOverlap,
+        ViolationKind::WildAccess, ViolationKind::OutOfSegment})
+    EXPECT_NE(std::find(Spans.Kinds.begin(), Spans.Kinds.end(), Kind),
+              Spans.Kinds.end())
+        << "scenario lost its " << static_cast<int>(Kind) << " case";
+}
+
 //===----------------------------------------------------------------------===//
 // Per-allocator walkers beyond the coalescing family
 //===----------------------------------------------------------------------===//

@@ -27,6 +27,85 @@ TEST(MemoryBusTest, CountsBySourceAndKind) {
   EXPECT_EQ(Bus.writes(), 2u);
 }
 
+TEST(MemoryBusSpanTest, CountsWordsAndSplitsLongSpans) {
+  // A span counts its words, per source and kind too, and emitSpan splits
+  // a sweep past MaxSpanWords into records whose words continue each
+  // other; a span may end on the last word of the address space.
+  MemoryBus Bus;
+  CollectingSink Words;
+  struct RecordTap final : AccessSink {
+    void accessBatch(const MemAccess *Batch, size_t Count) override {
+      Records.insert(Records.end(), Batch, Batch + Count);
+    }
+    std::vector<MemAccess> Records;
+  } Tap;
+  Bus.attach(&Words);
+  Bus.attach(&Tap);
+  const uint32_t Long = 2 * MaxSpanWords + 7;
+  Bus.emitSpan(0x1000'0000, Long, SpanDirection::Ascending, AccessKind::Write,
+               AccessSource::Application);
+  Bus.emitSpan(0x2000'0000, Long, SpanDirection::Descending, AccessKind::Read,
+               AccessSource::Allocator);
+  Bus.emitSpan(0xFFFF'FFFC - 4 * 9, 10, SpanDirection::Ascending,
+               AccessKind::Read, AccessSource::TagEmulation);
+  Bus.emitSpan(0x3000'0000, 0, SpanDirection::Ascending, AccessKind::Read,
+               AccessSource::TagEmulation);
+  EXPECT_EQ(Bus.totalAccesses(), 2 * uint64_t(Long) + 10);
+  EXPECT_EQ(Bus.accessesFrom(AccessSource::Application), Long);
+  EXPECT_EQ(Bus.accessesFrom(AccessSource::Allocator), Long);
+  EXPECT_EQ(Bus.accessesFrom(AccessSource::TagEmulation), 10u);
+  EXPECT_EQ(Bus.writes(), Long);
+  EXPECT_EQ(Bus.reads(), uint64_t(Long) + 10);
+  Bus.flush();
+
+  ASSERT_EQ(Tap.Records.size(), 7u);
+  const uint16_t Splits[] = {MaxSpanWords, MaxSpanWords, 7};
+  for (size_t I = 0; I != 6; ++I)
+    EXPECT_EQ(Tap.Records[I].Words, Splits[I % 3]) << "record " << I;
+  ASSERT_EQ(Words.records().size(), 2 * size_t(Long) + 10);
+  for (uint32_t I = 0; I != Long; ++I) {
+    ASSERT_EQ(Words.records()[I].Address, 0x1000'0000u + 4 * I);
+    ASSERT_EQ(Words.records()[Long + I].Address, 0x2000'0000u - 4 * I);
+  }
+  EXPECT_EQ(Words.records().back().Address, 0xFFFF'FFFCu);
+}
+
+TEST(MemoryBusSpanDeathTest, MisalignedSpanIsFatal) {
+  MemoryBus Bus;
+  EXPECT_DEATH(Bus.emitSpan(0x1002, 2, SpanDirection::Ascending,
+                            AccessKind::Read, AccessSource::Application),
+               "4-byte-aligned");
+  EXPECT_DEATH(Bus.emit(MemAccess{0x1001, 4, AccessKind::Read,
+                                  AccessSource::Application,
+                                  SpanDirection::Descending, 3}),
+               "4-byte-aligned");
+  EXPECT_DEATH(Bus.emit(MemAccess{0x1000, 8, AccessKind::Read,
+                                  AccessSource::Application,
+                                  SpanDirection::Ascending, 3}),
+               "4-byte-aligned");
+  EXPECT_DEATH(Bus.emit(MemAccess{0x1000, 4, AccessKind::Read,
+                                  AccessSource::Application,
+                                  SpanDirection::Ascending, 0}),
+               "empty span");
+}
+
+TEST(MemoryBusSpanDeathTest, WrappingSpanIsFatal) {
+  MemoryBus Bus;
+  // One word past the top, one word below zero, and a split sweep whose
+  // wrap lies beyond its first record.
+  EXPECT_DEATH(Bus.emitSpan(0xFFFF'FFFC - 4 * 9, 11, SpanDirection::Ascending,
+                            AccessKind::Read, AccessSource::Application),
+               "wraps");
+  EXPECT_DEATH(Bus.emit(MemAccess{8, 4, AccessKind::Read,
+                                  AccessSource::Application,
+                                  SpanDirection::Descending, 4}),
+               "wraps");
+  EXPECT_DEATH(Bus.emitSpan(0xFFFF'FFFC - 4 * (MaxSpanWords + 5),
+                            MaxSpanWords + 7, SpanDirection::Ascending,
+                            AccessKind::Read, AccessSource::Application),
+               "wraps");
+}
+
 TEST(MemoryBusTest, FansOutToAllSinks) {
   MemoryBus Bus;
   CollectingSink A, B;

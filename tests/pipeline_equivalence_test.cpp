@@ -3,12 +3,12 @@
 // Batching is a pure throughput device: the paper's methodology depends on
 // bit-identical miss and fault counts across allocators, so where the bus
 // cuts the stream into batches must change nothing but wall-clock time.
-// Each test here runs an experiment once, captures its exact reference
-// stream, and replays it into fresh sinks in chunks of 1, 193 and 256
-// records (tests/ChunkOracle.h): per-cache per-source miss counts, per-set
-// miss profiles, page-fault curves, the page-run histogram and the
-// serialized trace bytes must all come out identical, and equal to the
-// run's own.
+// Each test here runs an experiment once, captures its exact record
+// stream, and replays it — as spans and expanded word by word — into fresh
+// sinks in chunks of 1, 193 and 256 records (tests/ChunkOracle.h):
+// per-cache per-source miss counts, per-set miss profiles, page-fault
+// curves, the page-run histogram and the serialized trace bytes must all
+// come out identical, and equal to the run's own.
 //
 //===----------------------------------------------------------------------===//
 
@@ -137,7 +137,8 @@ TEST(PipelineEquivalenceTest, GoldenMatrixSerializesIdentically) {
 TEST(PipelineEquivalenceTest, BinaryTraceBytesIdentical) {
   // The trace writer is a sink like any other: the bytes written by a
   // writer on the run's bus equal those of every chunked replay (the
-  // oracle checks that), and they decode back to the exact stream.
+  // oracle checks that), and they decode back to the exact stream, one
+  // record per reference.
   ExperimentConfig Config;
   Config.Workload = WorkloadId::Espresso;
   Config.Allocator = AllocatorKind::FirstFit;
@@ -146,14 +147,15 @@ TEST(PipelineEquivalenceTest, BinaryTraceBytesIdentical) {
 
   RunTap Tap;
   runExperiment(Config, nullptr, &Tap);
+  const std::vector<MemAccess> Words = expandStream(Tap.Stream);
   std::istringstream In(Tap.Trace.str(), std::ios::binary);
   BinaryTraceReader Reader(In);
   CollectingSink Decoded;
-  EXPECT_EQ(replayTrace(Reader, Decoded), Tap.Stream.size());
-  ASSERT_EQ(Decoded.records().size(), Tap.Stream.size());
-  for (size_t I = 0; I != Tap.Stream.size(); ++I) {
+  EXPECT_EQ(replayTrace(Reader, Decoded), Words.size());
+  ASSERT_EQ(Decoded.records().size(), Words.size());
+  for (size_t I = 0; I != Words.size(); ++I) {
     const MemAccess &Got = Decoded.records()[I];
-    const MemAccess &Want = Tap.Stream[I];
+    const MemAccess &Want = Words[I];
     ASSERT_TRUE(Got.Address == Want.Address && Got.Size == Want.Size &&
                 Got.Kind == Want.Kind && Got.Source == Want.Source)
         << "record " << I;

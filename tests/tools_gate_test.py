@@ -37,8 +37,8 @@ def run_gate(script, *args):
 def perf_config(name, speedup, **overrides):
     config = {
         "name": name,
-        "scalar_refs_per_sec": 1e6,
-        "batched_refs_per_sec": speedup * 1e6,
+        "expanded_refs_per_sec": 1e6,
+        "span_refs_per_sec": speedup * 1e6,
         "speedup": speedup,
     }
     config.update(overrides)
@@ -46,7 +46,7 @@ def perf_config(name, speedup, **overrides):
 
 
 def perf_report(*configs):
-    return {"schema": "allocsim-bench-pipeline-v1", "configs": list(configs)}
+    return {"schema": "allocsim-bench-pipeline-v2", "configs": list(configs)}
 
 
 def engines_config(name, speedup, **overrides):
@@ -171,12 +171,34 @@ class CheckPerfBaselineTest(GateTestCase):
         self.assertEqual(code, 1, out)
         self.assertIn("schema", out)
 
+    def test_retired_batched_schema_rejected(self):
+        # v1 compared a capacity-1 bus with the default one; that ratio
+        # no longer measures anything, and its reports must not pass.
+        base = self.write("base.json", perf_report(perf_config("c", 2.0)))
+        retired = self.write(
+            "v1.json",
+            {
+                "schema": "allocsim-bench-pipeline-v1",
+                "configs": [
+                    {
+                        "name": "c",
+                        "scalar_refs_per_sec": 1e6,
+                        "batched_refs_per_sec": 2e6,
+                        "speedup": 2.0,
+                    }
+                ],
+            },
+        )
+        code, out = run_gate(PERF_GATE, base, retired)
+        self.assertEqual(code, 1, out)
+        self.assertIn("schema", out)
+
     def test_empty_or_missing_configs_rejected(self):
         base = self.write("base.json", perf_report(perf_config("c", 2.0)))
-        empty = self.write("empty.json", {"schema": "allocsim-bench-pipeline-v1", "configs": []})
+        empty = self.write("empty.json", {"schema": "allocsim-bench-pipeline-v2", "configs": []})
         code, out = run_gate(PERF_GATE, base, empty)
         self.assertEqual(code, 1, out)
-        noconfigs = self.write("none.json", {"schema": "allocsim-bench-pipeline-v1"})
+        noconfigs = self.write("none.json", {"schema": "allocsim-bench-pipeline-v2"})
         code, out = run_gate(PERF_GATE, base, noconfigs)
         self.assertEqual(code, 1, out)
 
@@ -185,7 +207,7 @@ class CheckPerfBaselineTest(GateTestCase):
         incomplete = self.write(
             "inc.json",
             {
-                "schema": "allocsim-bench-pipeline-v1",
+                "schema": "allocsim-bench-pipeline-v2",
                 "configs": [{"name": "c", "speedup": 2.0}],
             },
         )
@@ -196,7 +218,7 @@ class CheckPerfBaselineTest(GateTestCase):
     def test_nonpositive_rates_rejected(self):
         base = self.write("base.json", perf_report(perf_config("c", 2.0)))
         zero = self.write(
-            "zero.json", perf_report(perf_config("c", 2.0, scalar_refs_per_sec=0))
+            "zero.json", perf_report(perf_config("c", 2.0, expanded_refs_per_sec=0))
         )
         code, out = run_gate(PERF_GATE, base, zero)
         self.assertEqual(code, 1, out)

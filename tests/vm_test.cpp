@@ -2,6 +2,9 @@
 
 #include "vm/PageSim.h"
 
+#include "stats/Telemetry.h"
+#include "trace/RefTrace.h"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -139,6 +142,61 @@ void checkAgainstOracle(uint32_t PageBytes,
     expectMatchesOracle(Chunked, Oracle);
   }
 }
+
+/// Span records mixed with single references around three bases: ascending
+/// and descending spans of 2 to 17 words, one in seven running up to four
+/// pages (so many straddle a page boundary or cover whole pages), and an
+/// ascending span ending at 0xFFFFFFFC plus a descending one starting
+/// there.
+std::vector<MemAccess> spanStream(uint32_t PageBytes, size_t Length,
+                                  uint64_t Seed) {
+  const Addr Bases[] = {0x1000'0000, 0x0800'0000, 0x4000'0000};
+  uint64_t State = Seed;
+  std::vector<MemAccess> Stream;
+  for (size_t I = 0; I != Length; ++I) {
+    const uint64_t Pick = nextRandom(State);
+    MemAccess Acc;
+    Acc.Kind = (Pick >> 3) & 1 ? AccessKind::Write : AccessKind::Read;
+    const uint64_t Word = nextRandom(State) % (16 * PageBytes);
+    const Addr Base =
+        Bases[(Pick >> 5) % std::size(Bases)] + 4 * static_cast<Addr>(Word);
+    if (Pick % 5 == 0) {
+      Acc.Address = Base;
+      Stream.push_back(Acc);
+      continue;
+    }
+    const uint64_t Words = Pick % 7 == 1 ? 2 + nextRandom(State) % PageBytes
+                                         : 2 + nextRandom(State) % 16;
+    Acc.Words = static_cast<uint16_t>(Words);
+    Acc.Direction = (Pick >> 4) & 1 ? SpanDirection::Descending
+                                    : SpanDirection::Ascending;
+    Acc.Address = Acc.Direction == SpanDirection::Ascending
+                      ? Base
+                      : Base + 4 * static_cast<Addr>(Words - 1);
+    Stream.push_back(Acc);
+  }
+  MemAccess Top;
+  Top.Words = 1000;
+  Top.Address = 0xFFFFFFFCu - 4 * 999;
+  Stream.push_back(Top);
+  Top.Address = 0xFFFFFFFCu;
+  Top.Direction = SpanDirection::Descending;
+  Stream.push_back(Top);
+  return Stream;
+}
+
+/// A PageSim with a full-level telemetry registry for vm.page_run_len.
+struct TelemetryPageSim {
+  explicit TelemetryPageSim(uint32_t PageBytes) : Sim(PageBytes) {
+    Sim.attachTelemetry(&Telem);
+  }
+  HistogramSnapshot pageRunLen() {
+    Sim.flushRunTelemetry();
+    return Telem.snapshot().histogram("vm.page_run_len");
+  }
+  Telemetry Telem{TelemetryLevel::Full};
+  PageSim Sim;
+};
 
 } // namespace
 
@@ -297,4 +355,42 @@ TEST(PageSimTest, ZeroMemoryAlwaysFaults) {
   for (int I = 0; I < 8; ++I)
     touchPage(Sim, 3);
   EXPECT_EQ(Sim.faults(0), 8u);
+}
+
+TEST(PageSimTest, SpansMatchTheirExpansion) {
+  // A span makes one page-touch per page it covers and counts its other
+  // words as zero-distance hits; fed one record at a time and in chunks,
+  // it must leave every observable, the page-run histogram included,
+  // exactly where its word-by-word expansion leaves them. Pages of 1 and 2
+  // bytes split each word, and take the per-word path.
+  for (uint32_t PageBytes : {1u, 2u, 64u, 4096u}) {
+    SCOPED_TRACE(testing::Message() << "page bytes " << PageBytes);
+    const std::vector<MemAccess> Stream =
+        spanStream(PageBytes, 1500, PageBytes * 7919ull);
+    CollectingSink Expansion;
+    Expansion.accessBatch(Stream.data(), Stream.size());
+    const std::vector<MemAccess> &Words = Expansion.records();
+
+    MoveToFrontLru Oracle(PageBytes);
+    TelemetryPageSim Expanded(PageBytes), Single(PageBytes),
+        Chunked(PageBytes);
+    for (const MemAccess &Word : Words) {
+      Oracle.access(Word);
+      Expanded.Sim.access(Word);
+    }
+    for (const MemAccess &Record : Stream)
+      Single.Sim.access(Record);
+    uint64_t State = PageBytes;
+    for (size_t I = 0; I != Stream.size();) {
+      const size_t Chunk =
+          std::min<size_t>(1 + nextRandom(State) % 300, Stream.size() - I);
+      Chunked.Sim.accessBatch(Stream.data() + I, Chunk);
+      I += Chunk;
+    }
+    const HistogramSnapshot RunLen = Expanded.pageRunLen();
+    for (TelemetryPageSim *Sim : {&Expanded, &Single, &Chunked}) {
+      expectMatchesOracle(Sim->Sim, Oracle);
+      EXPECT_EQ(Sim->pageRunLen(), RunLen);
+    }
+  }
 }

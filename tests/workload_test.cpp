@@ -1,5 +1,6 @@
 //===- tests/workload_test.cpp - Workload engine and driver tests ---------===//
 
+#include "support/Rng.h"
 #include "trace/RefTrace.h"
 #include "workload/Driver.h"
 #include "workload/Engine.h"
@@ -266,6 +267,124 @@ TEST(DriverTest, TouchWrapsWithinObject) {
   const Addr Expected[] = {Base, Base + 4, Base, Base + 4, Base};
   for (size_t I = 0; I != 5; ++I)
     EXPECT_EQ(Sink.records()[I].Address, Expected[I]) << "word " << I;
+}
+
+namespace {
+
+/// The driver's sweeps as they were emitted one word at a time, before
+/// spans: the reference model the span emission must expand to.
+class PerWordSweepModel {
+public:
+  explicit PerWordSweepModel(uint32_t WindowBytes) : Window(WindowBytes) {}
+
+  void touchObject(std::vector<Addr> &Out, Addr Address,
+                   uint32_t ObjectWords, uint32_t Words) const {
+    uint32_t Offset = 0;
+    for (uint32_t I = 0; I != Words; ++I) {
+      Out.push_back(Address + 4 * Offset);
+      if (++Offset == ObjectWords)
+        Offset = 0;
+    }
+  }
+
+  void touchStack(std::vector<Addr> &Out, uint32_t Words) {
+    for (uint32_t I = 0; I != Words; ++I) {
+      Out.push_back(StackBase + Pos);
+      if (Pos + 4 >= Window)
+        Dir = -1;
+      else if (Pos == 0)
+        Dir = 1;
+      Pos = static_cast<uint32_t>(static_cast<int>(Pos) + 4 * Dir);
+    }
+  }
+
+private:
+  uint32_t Window;
+  uint32_t Pos = 0;
+  int Dir = 1;
+};
+
+} // namespace
+
+TEST(DriverTest, SpanEmissionMatchesPerWordModel) {
+  // Random object and stack touches, the lengths biased to the edges of
+  // the span split: zero and one word, exact multiples of the object and
+  // of the stack window (in words), one word either side of those, and
+  // sweeps past MaxSpanWords, which the bus splits into several records.
+  for (uint32_t WindowBytes : {64u, 2048u}) {
+    SCOPED_TRACE(testing::Message() << "stack window " << WindowBytes);
+    MemoryBus Bus;
+    SimHeap Heap{Bus};
+    CostModel Cost;
+    std::unique_ptr<Allocator> Alloc =
+        createAllocator(AllocatorKind::FirstFit, Heap, Cost);
+    Driver Drive(*Alloc, Bus, Cost, 2.0, WindowBytes);
+    PerWordSweepModel Model(WindowBytes);
+    const uint32_t WindowWords = WindowBytes / 4;
+
+    Rng R(WindowBytes);
+    const uint32_t ObjectBytes[] = {4, 8, 60, 4096};
+    for (uint32_t Id = 1; Id <= std::size(ObjectBytes); ++Id)
+      Drive.execute(AllocEvent::makeMalloc(Id, ObjectBytes[Id - 1]));
+    Bus.flush();
+    CollectingSink Sink;
+    Bus.attach(&Sink);
+    struct RecordCounter final : AccessSink {
+      void accessBatch(const MemAccess *, size_t Count) override {
+        Records += Count;
+      }
+      uint64_t Records = 0;
+    } Counter;
+    Bus.attach(&Counter);
+
+    std::vector<Addr> Want;
+    uint64_t Words = 0;
+    for (int Step = 0; Step != 200; ++Step) {
+      const bool Stack = R.nextBool(0.4);
+      const uint32_t Id = 1 + static_cast<uint32_t>(R.nextBelow(4));
+      const uint32_t Unit = Stack ? WindowWords : ObjectBytes[Id - 1] / 4;
+      uint32_t Length = 0;
+      switch (R.nextBelow(6)) {
+      case 0:
+        Length = static_cast<uint32_t>(R.nextBelow(2));
+        break;
+      case 1:
+        Length = Unit * static_cast<uint32_t>(1 + R.nextBelow(3));
+        break;
+      case 2:
+        Length = Unit * static_cast<uint32_t>(1 + R.nextBelow(3)) - 1;
+        break;
+      case 3:
+        Length = Unit + 1;
+        break;
+      case 4:
+        Length = MaxSpanWords + static_cast<uint32_t>(R.nextBelow(3 * Unit));
+        break;
+      default:
+        Length = static_cast<uint32_t>(R.nextBelow(4 * Unit));
+        break;
+      }
+      Words += Length;
+      if (Stack) {
+        Drive.execute(AllocEvent::makeStackTouch(Length, AccessKind::Read));
+        Model.touchStack(Want, Length);
+      } else {
+        Drive.execute(AllocEvent::makeTouch(Id, Length, AccessKind::Write));
+        Model.touchObject(Want, Drive.addressOf(Id), ObjectBytes[Id - 1] / 4,
+                          Length);
+      }
+    }
+    Bus.flush();
+    ASSERT_EQ(Sink.records().size(), Want.size());
+    EXPECT_EQ(Words, Want.size());
+    EXPECT_LT(Counter.Records, Words) << "no span emitted";
+    for (size_t I = 0; I != Want.size(); ++I) {
+      const MemAccess &Got = Sink.records()[I];
+      ASSERT_EQ(Got.Address, Want[I]) << "word " << I;
+      ASSERT_EQ(Got.Size, 4u);
+      ASSERT_EQ(Got.Source, AccessSource::Application);
+    }
+  }
 }
 
 TEST(DriverTest, StackTouchesStayInWindow) {

@@ -11,8 +11,9 @@ Two report schemas are understood, both shaped as {"schema": ...,
 "configs": [{"name": ..., "<slow>_refs_per_sec": ..., "<fast>_refs_per_sec":
 ..., "speedup": ...}, ...]}:
 
-  * allocsim-bench-pipeline-v1 (bench_pipeline_throughput): speedup is
-    batched over scalar delivery;
+  * allocsim-bench-pipeline-v2 (bench_pipeline_throughput): speedup is a
+    production sink set fed span records over the same sinks fed the
+    records' word-by-word expansion, both replays of one captured stream;
   * allocsim-bench-engines-v2 (bench_cache_engines): speedup is the
     automatically chosen cache engine over per-config CacheBank
     simulation.
@@ -45,9 +46,9 @@ import sys
 
 # schema name -> the two rate keys every config row must carry.
 SCHEMAS = {
-    "allocsim-bench-pipeline-v1": (
-        "scalar_refs_per_sec",
-        "batched_refs_per_sec",
+    "allocsim-bench-pipeline-v2": (
+        "expanded_refs_per_sec",
+        "span_refs_per_sec",
     ),
     "allocsim-bench-engines-v2": (
         "bank_refs_per_sec",
