@@ -49,24 +49,26 @@ CacheSim::CacheSim(const CacheConfig &SimConfig) : Config(SimConfig) {
   BlockShift = log2Exact(Config.BlockBytes);
 }
 
-void ProbedCache::accessBatch(const MemAccess *Batch, size_t Count) {
+void CacheSim::accessBatch(const MemAccess *Batch, size_t Count) {
   expandSpans(Batch, Count, [this](const MemAccess *Words, size_t N) {
-    probeWords(Words, N);
+    accessWords(Words, N);
   });
 }
 
-void ProbedCache::probeWords(const MemAccess *Batch, size_t Count) {
+void ProbedCache::accessWords(const MemAccess *Batch, size_t Count) {
   const uint32_t SetMask = Config.numSets() - 1;
-  uint64_t Accesses = 0, Misses = 0;
-  uint64_t AccBySource[NumAccessSources] = {};
+  // Access counts by source in registers, as in DirectMappedCache.
+  uint64_t Accesses = 0, AppAccesses = 0, AllocAccesses = 0, Misses = 0;
   uint64_t MissBySource[NumAccessSources] = {};
   for (size_t I = 0; I != Count; ++I) {
     const MemAccess &Acc = Batch[I];
     const unsigned Source = static_cast<unsigned>(Acc.Source);
     const FrameRange Frames = frameRange(Acc, BlockShift);
+    const uint64_t Touched = Frames.Last - Frames.First + 1;
+    Accesses += Touched;
+    AppAccesses += Acc.Source == AccessSource::Application ? Touched : 0;
+    AllocAccesses += Acc.Source == AccessSource::Allocator ? Touched : 0;
     for (uint64_t Frame = Frames.First; Frame <= Frames.Last; ++Frame) {
-      ++Accesses;
-      ++AccBySource[Source];
       if (probe(Frame))
         continue;
       ++Misses;
@@ -75,6 +77,8 @@ void ProbedCache::probeWords(const MemAccess *Batch, size_t Count) {
         ++SetMisses[static_cast<uint32_t>(Frame) & SetMask];
     }
   }
+  const uint64_t AccBySource[NumAccessSources] = {
+      AppAccesses, AllocAccesses, Accesses - AppAccesses - AllocAccesses};
   foldBatchStats(Accesses, Misses, AccBySource, MissBySource);
 }
 
@@ -101,13 +105,7 @@ void DirectMappedCache::reset() {
   Stats = CacheStats();
 }
 
-void DirectMappedCache::accessBatch(const MemAccess *Batch, size_t Count) {
-  expandSpans(Batch, Count, [this](const MemAccess *Words, size_t N) {
-    probeWords(Words, N);
-  });
-}
-
-void DirectMappedCache::probeWords(const MemAccess *Batch, size_t Count) {
+void DirectMappedCache::accessWords(const MemAccess *Batch, size_t Count) {
   // Hoist everything loop-invariant: the tag array, index mask and block
   // shift live in registers for the whole batch, and statistics accumulate
   // into locals folded back once. Same frame split as ProbedCache.
@@ -115,28 +113,42 @@ void DirectMappedCache::probeWords(const MemAccess *Batch, size_t Count) {
   const uint32_t Mask = IndexMask;
   const uint32_t Shift = BlockShift;
   uint64_t *SetMissArray = SetMisses.empty() ? nullptr : SetMisses.data();
-  uint64_t Accesses = 0, Misses = 0;
-  uint64_t AccBySource[NumAccessSources] = {};
+  // Access counts by source stay in registers (a counter array indexed by
+  // source would chain every record through memory): the application's
+  // and the allocator's are counted, the tag emulation's is the rest.
+  uint64_t Accesses = 0, AppAccesses = 0, AllocAccesses = 0, Misses = 0;
   uint64_t MissBySource[NumAccessSources] = {};
+  auto Probe = [&](uint64_t Frame, unsigned Source) {
+    const uint64_t TagPlusOne = Frame + 1;
+    const uint32_t Set = static_cast<uint32_t>(Frame) & Mask;
+    uint64_t &Slot = TagArray[Set];
+    if (Slot == TagPlusOne)
+      return;
+    Slot = TagPlusOne;
+    ++Misses;
+    ++MissBySource[Source];
+    if (SetMissArray)
+      ++SetMissArray[Set];
+  };
   for (size_t I = 0; I != Count; ++I) {
     const MemAccess &Acc = Batch[I];
     const unsigned Source = static_cast<unsigned>(Acc.Source);
     const FrameRange Frames = frameRange(Acc, Shift);
-    for (uint64_t Frame = Frames.First; Frame <= Frames.Last; ++Frame) {
-      ++Accesses;
-      ++AccBySource[Source];
-      const uint64_t TagPlusOne = Frame + 1;
-      const uint32_t Set = static_cast<uint32_t>(Frame) & Mask;
-      uint64_t &Slot = TagArray[Set];
-      if (Slot != TagPlusOne) {
-        Slot = TagPlusOne;
-        ++Misses;
-        ++MissBySource[Source];
-        if (SetMissArray)
-          ++SetMissArray[Set];
-      }
+    const uint64_t Touched = Frames.Last - Frames.First + 1;
+    Accesses += Touched;
+    AppAccesses += Acc.Source == AccessSource::Application ? Touched : 0;
+    AllocAccesses += Acc.Source == AccessSource::Allocator ? Touched : 0;
+    // Most references touch one frame; giving them their own copy of the
+    // probe keeps the frame loop off the common path.
+    if (Touched == 1) [[likely]] {
+      Probe(Frames.First, Source);
+      continue;
     }
+    for (uint64_t Frame = Frames.First; Frame <= Frames.Last; ++Frame)
+      Probe(Frame, Source);
   }
+  const uint64_t AccBySource[NumAccessSources] = {
+      AppAccesses, AllocAccesses, Accesses - AppAccesses - AllocAccesses};
   foldBatchStats(Accesses, Misses, AccBySource, MissBySource);
 }
 
@@ -151,7 +163,9 @@ void SetAssocCache::reset() {
 }
 
 bool SetAssocCache::probe(uint64_t BlockFrame) {
-  uint32_t Set = static_cast<uint32_t>(BlockFrame % NumSets);
+  // NumSets is a power of two (CacheConfig::valid), so the mask is the
+  // modulus without a division.
+  uint32_t Set = static_cast<uint32_t>(BlockFrame) & (NumSets - 1);
   uint64_t TagPlusOne = BlockFrame + 1;
   uint64_t *SetWays = &Ways[static_cast<size_t>(Set) * Config.Assoc];
   for (uint32_t Way = 0; Way != Config.Assoc; ++Way) {
@@ -235,11 +249,10 @@ size_t CacheBank::addCache(const CacheConfig &SimConfig) {
 }
 
 void CacheBank::accessBatch(const MemAccess *Batch, size_t Count) {
-  // Expand once for every cache; each then passes the span-free chunk
-  // straight to its own loop.
+  // Expand once, then run every cache's loop over each chunk of words.
   expandSpans(Batch, Count, [this](const MemAccess *Words, size_t N) {
     for (auto &Cache : Caches)
-      Cache->accessBatch(Words, N);
+      Cache->accessWords(Words, N);
   });
 }
 

@@ -108,7 +108,16 @@ public:
   /// Per-set miss counts; empty unless enableSetProfile was called.
   const std::vector<uint64_t> &setMissProfile() const { return SetMisses; }
 
+  /// Expands spans (expandSpans) and runs accessWords over the result.
+  void accessBatch(const MemAccess *Batch, size_t Count) final;
+
 protected:
+  /// CacheBank expands a batch once and hands the words to every cache.
+  friend class CacheBank;
+
+  /// The probe loop over single references; never sees a span.
+  virtual void accessWords(const MemAccess *Words, size_t Count) = 0;
+
   /// Folds batch-local counters into Stats (shared by the subclasses'
   /// accessBatch loops, which accumulate into registers first).
   void foldBatchStats(uint64_t Accesses, uint64_t Misses,
@@ -129,21 +138,18 @@ public:
 
   void reset() override;
 
-  /// One pass over the expanded records with the block shift, index mask
-  /// and tag array hoisted out of the loop. Tests hold it against a one-way
-  /// SetAssocCache, an independent probe implementation.
-  void accessBatch(const MemAccess *Batch, size_t Count) override;
-
 private:
-  /// The probe loop over single references.
-  void probeWords(const MemAccess *Batch, size_t Count);
+  /// One pass over the records with the block shift, index mask and tag
+  /// array hoisted out of the loop. Tests hold it against a one-way
+  /// SetAssocCache, an independent probe implementation.
+  void accessWords(const MemAccess *Words, size_t Count) override;
 
   uint32_t IndexMask;
   /// Tag-plus-one per set; 0 means invalid.
   std::vector<uint64_t> Tags;
 };
 
-/// A cache simulated one block frame at a time. Its accessBatch is the
+/// A cache simulated one block frame at a time. Its accessWords is the
 /// frame loop SetAssocCache and VictimCache share: it calls probe() for
 /// every block frame a record covers (an access straddling a block boundary
 /// counts once per block touched, like a trace with one entry per word).
@@ -151,13 +157,9 @@ class ProbedCache : public CacheSim {
 public:
   using CacheSim::CacheSim;
 
-  void accessBatch(const MemAccess *Batch, size_t Count) final;
-
-private:
-  /// The frame loop over single references.
-  void probeWords(const MemAccess *Batch, size_t Count);
-
 protected:
+  void accessWords(const MemAccess *Words, size_t Count) final;
+
   /// Returns true on hit; updates replacement state.
   virtual bool probe(uint64_t BlockFrame) = 0;
 };

@@ -29,6 +29,7 @@
 
 #include "mem/MemAccess.h"
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 
@@ -71,8 +72,7 @@ void expandSpans(const MemAccess *Batch, size_t Count, ConsumeFn &&Consume) {
   }
   MemAccess Buffer[AccessBatch::MaxCapacity];
   size_t Fill = 0;
-  auto Push = [&](const MemAccess &Word) {
-    Buffer[Fill++] = Word;
+  auto FlushIfFull = [&] {
     if (Fill == AccessBatch::MaxCapacity) {
       Consume(static_cast<const MemAccess *>(Buffer), Fill);
       Fill = 0;
@@ -81,11 +81,25 @@ void expandSpans(const MemAccess *Batch, size_t Count, ConsumeFn &&Consume) {
   for (size_t I = 0; I != Count; ++I) {
     const MemAccess &Record = Batch[I];
     if (!Record.isSpan()) {
-      Push(Record);
+      Buffer[Fill++] = Record;
+      FlushIfFull();
       continue;
     }
-    for (uint32_t W = 0; W != Record.Words; ++W)
-      Push(Record.word(W));
+    // A span fills the buffer a run of words at a time.
+    MemAccess Word = Record.word(0);
+    const Addr Step =
+        Record.Direction == SpanDirection::Ascending ? 4 : Addr(-4);
+    for (size_t Left = Record.Words; Left != 0;) {
+      const size_t Run = std::min(Left, AccessBatch::MaxCapacity - Fill);
+      MemAccess *Out = Buffer + Fill;
+      for (size_t W = 0; W != Run; ++W) {
+        Out[W] = Word;
+        Word.Address += Step;
+      }
+      Fill += Run;
+      Left -= Run;
+      FlushIfFull();
+    }
   }
   if (Fill != 0)
     Consume(static_cast<const MemAccess *>(Buffer), Fill);

@@ -39,7 +39,7 @@ public:
   /// too.
   virtual void accessBatch(const MemAccess *Batch, size_t Count) = 0;
 
-  /// Consumes one reference as a batch of one. A convenience for tests and
+  /// Consumes one record as a batch of one. A convenience for tests and
   /// wrappers; sinks do not override it with a second path.
   virtual void access(const MemAccess &Access) { accessBatch(&Access, 1); }
 };
