@@ -71,38 +71,25 @@ void MemoryBus::flush() {
   }
 }
 
-namespace {
-
-/// Fatal unless \p Words 4-byte words of \p Size bytes from \p Base,
-/// stepping in \p Direction, are aligned and stay inside the 32-bit space.
-void checkSweep(Addr Base, uint32_t Words, uint8_t Size,
-                SpanDirection Direction) {
+void MemoryBus::reportBadSpan(Addr Base, uint64_t Words, uint8_t Size,
+                              SpanDirection Direction) {
   if (Words == 0)
     reportFatalError("memory bus: empty span record");
   if (Size != 4 || Base % 4 != 0)
     reportFatalError("memory bus: span at " + std::to_string(Base) +
                      " is not made of 4-byte-aligned 4-byte words");
-  const uint64_t Reach = 4 * uint64_t(Words - 1);
-  const bool Wraps = Direction == SpanDirection::Ascending
-                         ? Base + Reach > 0xFFFFFFFCull
-                         : Base < Reach;
-  if (Wraps)
-    reportFatalError("memory bus: span of " + std::to_string(Words) +
-                     " words at " + std::to_string(Base) +
-                     " wraps around the 32-bit address space");
-}
-
-} // namespace
-
-void MemoryBus::checkSpan(const MemAccess &Span) {
-  checkSweep(Span.Address, Span.Words, Span.Size, Span.Direction);
+  reportFatalError("memory bus: span of " + std::to_string(Words) +
+                   " words at " + std::to_string(Base) + " running " +
+                   (Direction == SpanDirection::Ascending ? "up" : "down") +
+                   " wraps around the 32-bit address space");
 }
 
 void MemoryBus::emitLongSpan(Addr Base, uint32_t Words,
                              SpanDirection Direction, AccessKind Kind,
                              AccessSource Source) {
   // Checked whole, so no split point can hide a wrap.
-  checkSweep(Base, Words, 4, Direction);
+  if (!spanFits(Base, Words, 4, Direction))
+    reportBadSpan(Base, Words, 4, Direction);
   MemAccess Span{Base, 4, Kind, Source, Direction};
   while (true) {
     const uint32_t Chunk = std::min(Words, MaxSpanWords);

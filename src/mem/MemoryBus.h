@@ -69,8 +69,10 @@ public:
   /// span (see file comment) is fatal.
   void emit(const MemAccess &Access) {
     assert(!Flushing && "emit into the bus from inside a flush");
-    if (Access.isSpan() && !wellFormedSpan(Access))
-      checkSpan(Access);
+    if (Access.isSpan() &&
+        !spanFits(Access.Address, Access.Words, Access.Size, Access.Direction))
+      reportBadSpan(Access.Address, Access.Words, Access.Size,
+                    Access.Direction);
     Total += Access.Words;
     BySource[static_cast<unsigned>(Access.Source)] += Access.Words;
     ByKind[static_cast<unsigned>(Access.Kind)] += Access.Words;
@@ -144,18 +146,21 @@ private:
 
   bool isAttached(const AccessSink *Sink) const;
   void compactSinks();
-  /// True if \p Span is 4-byte words, 4-byte aligned, that stay inside the
-  /// 32-bit space (the inline test; checkSpan diagnoses a failure).
-  static bool wellFormedSpan(const MemAccess &Span) {
-    const uint64_t Reach = 4 * uint64_t(Span.Words - 1);
-    return Span.Words != 0 && Span.Size == 4 && Span.Address % 4 == 0 &&
-           (Span.Direction == SpanDirection::Ascending
-                ? Span.Address + Reach <= 0xFFFFFFFCull
-                : Span.Address >= Reach);
+  /// True if \p Words words of \p Size bytes from \p Base, stepping in
+  /// \p Direction, form a span: at least one 4-byte-aligned 4-byte word,
+  /// all inside the 32-bit space.
+  static bool spanFits(Addr Base, uint64_t Words, uint8_t Size,
+                       SpanDirection Direction) {
+    const uint64_t Reach = 4 * (Words - 1);
+    return Words != 0 && Size == 4 && Base % 4 == 0 &&
+           (Direction == SpanDirection::Ascending
+                ? Base + Reach <= 0xFFFFFFFCull
+                : Base >= Reach);
   }
-  /// Fatal unless \p Span is 4-byte words, 4-byte aligned, that stay
-  /// inside the 32-bit space.
-  static void checkSpan(const MemAccess &Span);
+  /// Reports why spanFits rejected a span; fatal.
+  [[noreturn]] static void reportBadSpan(Addr Base, uint64_t Words,
+                                         uint8_t Size,
+                                         SpanDirection Direction);
   /// emitSpan past MaxSpanWords: one record per MaxSpanWords words.
   void emitLongSpan(Addr Base, uint32_t Words, SpanDirection Direction,
                     AccessKind Kind, AccessSource Source);
