@@ -4,7 +4,6 @@
 
 #include "support/Error.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <istream>
 #include <ostream>
