@@ -13,9 +13,9 @@
 // (both CacheSweep), a CacheBank with set profiles on, a PageSim with
 // telemetry attached, a BinaryTraceWriter — in chunks of 1, 193 and 256
 // records. Every replay must reproduce the run's own cache statistics,
-// per-set miss profiles, fault curve, page-run histogram and trace bytes,
-// and the one-pass kernels must agree with each other replay and with the
-// CacheBank.
+// per-set miss profiles, fault curve, page-run histogram and trace bytes;
+// both one-pass kernels must agree across replays and with a CacheBank of
+// their family.
 //
 //===----------------------------------------------------------------------===//
 
@@ -172,8 +172,9 @@ inline void expectFamilyEqual(const FamilyResult &Got,
 /// with the run: cache statistics (CacheBank, and the CacheSweep over the
 /// same caches), per-set miss profiles (raw across replays, folded against
 /// the run's telemetry), the 512-set stack kernel's statistics and
-/// profiles, fault rates, distinct pages, the vm.page_run_len histogram
-/// and the trace bytes. Returns the run's result.
+/// profiles (also against a CacheBank of that family), fault rates,
+/// distinct pages, the vm.page_run_len histogram and the trace bytes.
+/// Returns the run's result.
 inline RunResult expectChunkingInvariant(ExperimentConfig Config,
                                          const std::string &Label) {
   SCOPED_TRACE(Label);
@@ -225,6 +226,17 @@ inline RunResult expectChunkingInvariant(ExperimentConfig Config,
       }
       EXPECT_EQ(Replay.Trace, Tap.Trace.str());
     }
+
+  // The stack kernel's family against per-config simulation, once.
+  CacheBank AssocBank;
+  for (const CacheConfig &Cache : assoc512Family())
+    AssocBank.cache(AssocBank.addCache(Cache)).enableSetProfile();
+  AssocBank.accessBatch(Expanded.data(), Expanded.size());
+  for (size_t I = 0; I != AssocBank.size(); ++I) {
+    SCOPED_TRACE(AssocBank.cache(I).config().describe());
+    expectCacheStatsEqual(First->Assoc.Stats[I], AssocBank.cache(I).stats());
+    EXPECT_EQ(First->Assoc.SetMisses[I], AssocBank.cache(I).setMissProfile());
+  }
   return Run;
 }
 
