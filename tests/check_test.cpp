@@ -309,8 +309,9 @@ TEST(CheckBusTest, StackAccessesAreIgnored) {
 
 namespace {
 
-/// What a shadow concluded from one stream: its violations, in order, and
-/// the final state of every heap byte.
+/// What a shadow concluded from one stream: its violations in order (the
+/// message names kind, allocator, address, source and operation), and the
+/// final state of every heap byte.
 struct ShadowVerdict {
   std::vector<std::string> Violations;
   std::vector<ViolationKind> Kinds;
@@ -382,8 +383,7 @@ ShadowVerdict shadowVerdict(bool AsSpans) {
 
   ShadowVerdict Out;
   for (const CheckViolation &V : H.Check.violations()) {
-    Out.Violations.push_back(V.message() + " @op " +
-                             std::to_string(V.OpIndex));
+    Out.Violations.push_back(V.message());
     Out.Kinds.push_back(V.Kind);
   }
   for (Addr Byte = H.Heap.base(); Byte != H.Heap.brk(); ++Byte)
