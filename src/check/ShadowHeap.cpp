@@ -114,8 +114,8 @@ bool ShadowHeap::checkSpanFast(const MemAccess &Span) {
   const uint64_t Offset = uint64_t(Low) - Heap.base();
   if (Offset + Bytes > syncToBreak())
     return false;
-  const ByteState *First = States.data() + Offset;
-  const ByteState *Last = First + Bytes;
+  ByteState *First = States.data() + Offset;
+  ByteState *Last = First + Bytes;
   if (Span.Source == AccessSource::Application)
     return std::all_of(First, Last, [](ByteState State) {
       return State == ByteState::UserLive;
@@ -124,8 +124,7 @@ bool ShadowHeap::checkSpanFast(const MemAccess &Span) {
     return true;
   if (std::find(First, Last, ByteState::UserLive) != Last)
     return false;
-  std::fill(States.begin() + Offset, States.begin() + Offset + Bytes,
-            ByteState::Metadata);
+  std::fill(First, Last, ByteState::Metadata);
   return true;
 }
 
