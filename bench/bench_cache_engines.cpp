@@ -157,15 +157,6 @@ Measurement measure(const EngineConfig &Config,
   return Result;
 }
 
-/// 512 sets, 32B blocks, associativity 1..16: the paper's 16K..256K
-/// capacities as one LRU family.
-std::vector<CacheConfig> assocFamily() {
-  std::vector<CacheConfig> Family;
-  for (uint32_t Assoc = 1; Assoc <= 16; Assoc *= 2)
-    Family.push_back(CacheConfig{16 * 1024 * Assoc, 32, Assoc});
-  return Family;
-}
-
 /// The dense family: 64 sets, 32B blocks, associativity 1..128 — every
 /// power-of-two capacity from 2K to 256K out of one pass.
 std::vector<CacheConfig> denseFamily() {
@@ -225,7 +216,7 @@ int main(int Argc, char **Argv) {
   const std::vector<MemAccess> Stream = captureStream(*Options);
   const EngineConfig Configs[] = {
       {"paperdm", paperCacheSweep()},
-      {"assoc512", assocFamily()},
+      {"assoc512", assocCacheSweep()},
       {"dense", denseFamily()},
       {"single16k", {CacheConfig{16 * 1024, 32, 1}}},
   };

@@ -52,15 +52,6 @@ using namespace allocsim;
 
 namespace {
 
-/// Keeps the bus's records as they are, spans included.
-class RecordTap final : public AccessSink {
-public:
-  void accessBatch(const MemAccess *Batch, size_t Count) override {
-    Records.insert(Records.end(), Batch, Batch + Count);
-  }
-  std::vector<MemAccess> Records;
-};
-
 /// Captures the gs-small/FirstFit record stream once.
 std::vector<MemAccess> captureStream(const BenchOptions &Options) {
   MemoryBus Bus;
@@ -78,15 +69,7 @@ std::vector<MemAccess> captureStream(const BenchOptions &Options) {
   Driver Drive(*Alloc, Bus, Cost, Profile.instrPerRef());
   Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
   Bus.flush();
-  return std::move(Tap.Records);
-}
-
-/// 512 sets, 32B blocks, associativity 1..16.
-std::vector<CacheConfig> assocFamily() {
-  std::vector<CacheConfig> Family;
-  for (uint32_t Assoc = 1; Assoc <= 16; Assoc *= 2)
-    Family.push_back(CacheConfig{16 * 1024 * Assoc, 32, Assoc});
-  return Family;
+  return Tap.takeRecords();
 }
 
 /// One production sink set under test.
@@ -238,7 +221,7 @@ int main(int Argc, char **Argv) {
       {"ladder", paperCacheSweep(), false},
       {"ladder+paging", paperCacheSweep(), true},
       {"paging", {}, true},
-      {"assoc512", assocFamily(), false},
+      {"assoc512", assocCacheSweep(), false},
   };
   std::vector<Measurement> Rows;
   for (const SinkSet &Set : Sets)

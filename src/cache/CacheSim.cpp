@@ -267,3 +267,10 @@ std::vector<CacheConfig> allocsim::paperCacheSweep() {
     Configs.push_back(CacheConfig{Kb * 1024, 32, 1});
   return Configs;
 }
+
+std::vector<CacheConfig> allocsim::assocCacheSweep() {
+  std::vector<CacheConfig> Configs;
+  for (uint32_t Assoc = 1; Assoc <= 16; Assoc *= 2)
+    Configs.push_back(CacheConfig{16 * 1024 * Assoc, 32, Assoc});
+  return Configs;
+}

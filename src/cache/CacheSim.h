@@ -110,6 +110,7 @@ public:
 
   /// Expands spans (expandSpans) and runs accessWords over the result.
   void accessBatch(const MemAccess *Batch, size_t Count) final;
+  bool takesSpans() const final { return true; }
 
 protected:
   /// CacheBank expands a batch once and hands the words to every cache.
@@ -224,6 +225,7 @@ public:
   /// access to every cache), so one cache's tag array stays hot for
   /// hundreds of probes before the next cache's is touched.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
+  bool takesSpans() const override { return true; }
 
   size_t size() const { return Caches.size(); }
   bool empty() const { return Caches.empty(); }
@@ -239,6 +241,10 @@ private:
 /// Builds the paper's sweep: direct-mapped caches of 16K, 32K, ..., 256K
 /// with 32-byte blocks.
 std::vector<CacheConfig> paperCacheSweep();
+
+/// Builds the set-associative family the LRU stack kernel serves: 512 sets
+/// of 32-byte blocks, 1-, 2-, 4-, 8- and 16-way (16K to 256K).
+std::vector<CacheConfig> assocCacheSweep();
 
 } // namespace allocsim
 

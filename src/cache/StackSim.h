@@ -93,6 +93,7 @@ public:
   /// The kernel loop, with its tag storage, masks and block shift hoisted
   /// out of the record loop.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
+  bool takesSpans() const override { return true; }
 
   /// Empties every set and zeroes all counters.
   void reset();
@@ -167,6 +168,7 @@ public:
   CacheStats statsFor(size_t Index) const;
 
   void accessBatch(const MemAccess *Batch, size_t Count) override;
+  bool takesSpans() const override { return true; }
 
   /// Enables every member's per-set miss profile.
   void enableSetProfile();

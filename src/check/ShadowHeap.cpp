@@ -114,18 +114,14 @@ bool ShadowHeap::checkSpanFast(const MemAccess &Span) {
   const uint64_t Offset = uint64_t(Low) - Heap.base();
   if (Offset + Bytes > syncToBreak())
     return false;
-  ByteState *First = States.data() + Offset;
-  ByteState *Last = First + Bytes;
-  if (Span.Source == AccessSource::Application)
-    return std::all_of(First, Last, [](ByteState State) {
-      return State == ByteState::UserLive;
-    });
-  if (Span.Kind != AccessKind::Write)
-    return true;
-  if (std::find(First, Last, ByteState::UserLive) != Last)
+  // Only the driver emits spans, all of them the application's; any other
+  // source takes the per-word path.
+  if (Span.Source != AccessSource::Application)
     return false;
-  std::fill(First, Last, ByteState::Metadata);
-  return true;
+  const ByteState *First = States.data() + Offset;
+  return std::all_of(First, First + Bytes, [](ByteState State) {
+    return State == ByteState::UserLive;
+  });
 }
 
 void ShadowHeap::checkReference(const MemAccess &Access) {

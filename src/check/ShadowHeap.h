@@ -63,6 +63,7 @@ public:
   /// accept is re-checked word by word, so the violations are exactly those
   /// of the span's single references.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
+  bool takesSpans() const override { return true; }
 
   /// HeapStateObserver hooks (see HeapStateObserver.h). Ranges are rounded
   /// up to whole words: every allocator hands out word-aligned storage and
@@ -107,9 +108,9 @@ private:
   /// Validates one single reference and folds it into the mirror.
   void checkReference(const MemAccess &Access);
   /// Validates a whole span in one pass when that is exact: returns true
-  /// (the span handled) if it lies outside the heap, or inside the break
-  /// with every byte acceptable for its source and kind; false, with the
-  /// mirror untouched, if any word needs the per-word check.
+  /// (the span handled) if it lies outside the heap, or is an application
+  /// span inside the break over live bytes only; false, with the mirror
+  /// untouched, if the span needs the per-word check.
   bool checkSpanFast(const MemAccess &Span);
   void reportViolation(ViolationKind Kind, std::string AllocName,
                        Addr Address, AccessSource Source,

@@ -17,10 +17,12 @@
 /// *effective* capacity is tunable at runtime between 1 (one record per
 /// delivery) and MaxCapacity (the bus default).
 ///
-/// expandSpans() is the one way a sink that works word by word (the oracle
-/// caches, the trace writers, CollectingSink) reads spans: it rewrites a
-/// batch as its per-word records, in stream order, into a stack buffer and
-/// hands the buffer to the sink's existing loop.
+/// expandSpans() is the one way spans become single references: a sink
+/// that works word by word (the oracle caches, the trace writers,
+/// CollectingSink) calls it in front of its existing loop, and the
+/// MemoryBus calls it for every sink that does not take spans. It rewrites
+/// a batch as its per-word records, in stream order, into a stack buffer
+/// and hands over the buffer a chunk at a time.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,15 +61,18 @@ struct AccessBatch {
 /// Calls \p Consume(const MemAccess *Records, size_t Count) over the
 /// word-by-word expansion of \p Batch, in stream order and in chunks of at
 /// most AccessBatch::MaxCapacity single references. A batch holding no span
-/// is passed through as it is, in one call.
+/// is passed through in place, in chunks of the same bound.
 template <typename ConsumeFn>
 void expandSpans(const MemAccess *Batch, size_t Count, ConsumeFn &&Consume) {
   size_t FirstSpan = 0;
   while (FirstSpan != Count && !Batch[FirstSpan].isSpan())
     ++FirstSpan;
   if (FirstSpan == Count) {
-    if (Count != 0)
-      Consume(Batch, Count);
+    for (size_t Done = 0; Done != Count;) {
+      const size_t Chunk = std::min(Count - Done, AccessBatch::MaxCapacity);
+      Consume(Batch + Done, Chunk);
+      Done += Chunk;
+    }
     return;
   }
   MemAccess Buffer[AccessBatch::MaxCapacity];

@@ -57,10 +57,22 @@ void MemoryBus::flush() {
   Flushing = true;
   // Index loop, not iterators: a sink's accessBatch may attach (deferred to
   // PendingAttach, so Sinks does not grow under us) or detach (slot nulled,
-  // size unchanged) during the fan-out.
-  for (size_t I = 0; I != Sinks.size(); ++I)
-    if (AccessSink *Sink = Sinks[I])
+  // size unchanged) during the fan-out. A sink that detaches in the middle
+  // of its expanded delivery gets no further chunk.
+  for (size_t I = 0; I != Sinks.size(); ++I) {
+    AccessSink *Sink = Sinks[I];
+    if (!Sink)
+      continue;
+    if (Sink->takesSpans()) {
       Sink->accessBatch(Batch.data(), Batch.size());
+      continue;
+    }
+    expandSpans(Batch.data(), Batch.size(),
+                [&](const MemAccess *Words, size_t Count) {
+                  if (Sinks[I])
+                    Sinks[I]->accessBatch(Words, Count);
+                });
+  }
   Batch.clear();
   Flushing = false;
   if (SinksDirty)

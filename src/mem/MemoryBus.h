@@ -19,7 +19,10 @@
 ///
 /// Delivery is batched: emitted records are staged in a fixed-capacity
 /// AccessBatch and handed to the sinks through AccessSink::accessBatch when
-/// the batch fills or flush() is called. Counters update at *emit* time, so
+/// the batch fills or flush() is called. A sink that takes spans
+/// (AccessSink::takesSpans) gets the staged batch as it is; any other sink
+/// gets its word-by-word expansion, in chunks of at most
+/// AccessBatch::MaxCapacity references. Counters update at *emit* time, so
 /// totalAccesses() et al. are exact at any moment; sink-side statistics
 /// become current at the next flush. The batch capacity starts at
 /// AccessBatch::MaxCapacity (see DESIGN.md §10 for the flush-point contract
@@ -63,6 +66,7 @@ public:
 
   /// Bulk replay entry (trace readers): counts and stages every record.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
+  bool takesSpans() const override { return true; }
 
   /// Emit: counts the record's references and stages it for delivery,
   /// flushing when the effective batch capacity is reached. A malformed

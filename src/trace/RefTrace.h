@@ -26,6 +26,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace allocsim {
@@ -40,9 +41,27 @@ public:
       Records.insert(Records.end(), Words, Words + N);
     });
   }
+  bool takesSpans() const override { return true; }
 
   const std::vector<MemAccess> &records() const { return Records; }
   void clear() { Records.clear(); }
+
+private:
+  std::vector<MemAccess> Records;
+};
+
+/// AccessSink that keeps every record exactly as delivered, spans intact:
+/// the bus's own record stream, for tests and benches that replay it or
+/// count its records.
+class RecordTap final : public AccessSink {
+public:
+  void accessBatch(const MemAccess *Batch, size_t Count) override {
+    Records.insert(Records.end(), Batch, Batch + Count);
+  }
+  bool takesSpans() const override { return true; }
+
+  const std::vector<MemAccess> &records() const { return Records; }
+  std::vector<MemAccess> takeRecords() { return std::move(Records); }
 
 private:
   std::vector<MemAccess> Records;
@@ -56,6 +75,7 @@ public:
   /// Encodes the batch into one stack buffer per AccessBatch::MaxCapacity
   /// records and issues one stream write for each.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
+  bool takesSpans() const override { return true; }
 
   /// Number of records written.
   uint64_t written() const { return Count; }
@@ -84,6 +104,7 @@ public:
   explicit TextTraceWriter(std::ostream &Stream) : OS(Stream) {}
 
   void accessBatch(const MemAccess *Batch, size_t Count) override;
+  bool takesSpans() const override { return true; }
 
 private:
   std::ostream &OS;

@@ -52,6 +52,7 @@ public:
   /// one at a time; a span there costs one page-touch per page it covers,
   /// its other words counting as zero-distance hits.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
+  bool takesSpans() const override { return true; }
 
   /// Number of references processed.
   uint64_t references() const { return References; }

@@ -45,6 +45,7 @@ public:
     Stream.insert(Stream.end(), Batch, Batch + Count);
     Writer.accessBatch(Batch, Count);
   }
+  bool takesSpans() const override { return true; }
 
   std::vector<MemAccess> Stream;
   std::ostringstream Trace{std::ios::binary};
@@ -59,14 +60,6 @@ expandStream(const std::vector<MemAccess> &Stream) {
   CollectingSink Words;
   Words.accessBatch(Stream.data(), Stream.size());
   return Words.records();
-}
-
-/// The 512-set LRU family (16K..256K, 1..16-way) the stack kernel serves.
-inline std::vector<CacheConfig> assoc512Family() {
-  std::vector<CacheConfig> Family;
-  for (uint32_t Assoc = 1; Assoc <= 16; Assoc *= 2)
-    Family.push_back(CacheConfig{16 * 1024 * Assoc, 32, Assoc});
-  return Family;
 }
 
 /// Statistics and per-set miss profiles of every member of a cache family.
@@ -93,7 +86,7 @@ struct ChunkedReplay {
   /// set, exactly as runExperiment folds cache.<I>.set_misses.
   std::vector<HistogramSnapshot> SetMissHists;
   /// CacheSweeps over the run's caches (the ladder, for the paper's
-  /// sweep) and over assoc512Family (the stack kernel).
+  /// sweep) and over assocCacheSweep (the stack kernel).
   FamilyResult Sweep;
   FamilyResult Assoc;
   std::vector<double> FaultsPerRef;
@@ -110,7 +103,7 @@ inline ChunkedReplay replayInChunks(const ExperimentConfig &Config,
   CacheBank Caches;
   for (const CacheConfig &Cache : Config.Caches)
     Caches.cache(Caches.addCache(Cache)).enableSetProfile();
-  CacheSweep Sweep(Config.Caches), Assoc(assoc512Family());
+  CacheSweep Sweep(Config.Caches), Assoc(assocCacheSweep());
   Sweep.enableSetProfile();
   Assoc.enableSetProfile();
   Telemetry Telem(TelemetryLevel::Full);
@@ -229,7 +222,7 @@ inline RunResult expectChunkingInvariant(ExperimentConfig Config,
 
   // The stack kernel's family against per-config simulation, once.
   CacheBank AssocBank;
-  for (const CacheConfig &Cache : assoc512Family())
+  for (const CacheConfig &Cache : assocCacheSweep())
     AssocBank.cache(AssocBank.addCache(Cache)).enableSetProfile();
   AssocBank.accessBatch(Expanded.data(), Expanded.size());
   for (size_t I = 0; I != AssocBank.size(); ++I) {

@@ -49,16 +49,9 @@ std::vector<AllocatorKind> nineAllocators() {
   return Kinds;
 }
 
-/// Stack-kernel families: 512 sets at associativity 1..16 (the 16K..256K
-/// capacities), a fully-associative chain (1 set each — the inclusion
-/// property in its purest form), and one that shares sets but skips powers.
-std::vector<CacheConfig> assocFamily() {
-  std::vector<CacheConfig> Family;
-  for (uint32_t Assoc = 1; Assoc <= 16; Assoc *= 2)
-    Family.push_back(CacheConfig{16 * 1024 * Assoc, 32, Assoc});
-  return Family;
-}
-
+/// Stack-kernel families besides assocCacheSweep's 512 sets: a
+/// fully-associative chain (1 set each — the inclusion property in its
+/// purest form), and one that shares sets but skips powers.
 std::vector<CacheConfig> fullyAssocFamily() {
   return {CacheConfig{512, 32, 16}, CacheConfig{1024, 32, 32},
           CacheConfig{2048, 32, 64}};
@@ -306,7 +299,7 @@ TEST(CacheEngineEquivalenceTest, SynthesizedStreams) {
     std::vector<CacheConfig> Family;
   } Families[] = {
       // Stack kernel.
-      {"assoc", assocFamily()},
+      {"assoc", assocCacheSweep()},
       {"fully-assoc", fullyAssocFamily()},
       {"sparse", sparseFamily()},
       // Ladder kernel.
@@ -330,7 +323,7 @@ TEST(CacheEngineEquivalenceTest, SynthesizedStreams) {
 
 TEST(CacheEngineEquivalenceTest, TinyStreamEdges) {
   for (const std::vector<CacheConfig> &Family :
-       {paperCacheSweep(), assocFamily()}) {
+       {paperCacheSweep(), assocCacheSweep()}) {
     checkFamilyOnStream(Family, {}, "empty stream");
     checkFamilyOnStream(Family, {MemAccess{HeapBase, 4}}, "one access");
     // A reference running past 4 GiB touches the frame below the boundary
@@ -366,7 +359,7 @@ TEST(CacheEngineEquivalenceTest, SpanStreamsMatchExpansion) {
   }
   const std::vector<MemAccess> Stream = synthesizeSpanStream(20261017, 3000);
   checkFamilyOnSpanStream(paperCacheSweep(), Stream, "paper sweep");
-  checkFamilyOnSpanStream(assocFamily(), Stream, "512-set LRU");
+  checkFamilyOnSpanStream(assocCacheSweep(), Stream, "512-set LRU");
   checkFamilyOnSpanStream(fullyAssocFamily(), Stream, "fully associative");
 }
 
@@ -387,7 +380,7 @@ TEST(CacheEngineEquivalenceTest, KernelChoicePinsFamilyShapes) {
       {"single direct-mapped", {CacheConfig{16 * 1024, 32, 1}},
        OnePassKernel::Ladder},
       {"nine rungs", directMappedSweep(2, 512, 32), OnePassKernel::Ladder},
-      {"assoc family", assocFamily(), OnePassKernel::Stack},
+      {"assoc family", assocCacheSweep(), OnePassKernel::Stack},
       {"fully associative", fullyAssocFamily(), OnePassKernel::Stack},
       {"direct-mapped + 2-way at 512 sets",
        {CacheConfig{16 * 1024, 32, 1}, CacheConfig{32 * 1024, 32, 2}},
@@ -411,7 +404,7 @@ TEST(CacheEngineEquivalenceTest, CorpusScriptsAllAllocators) {
     std::vector<AllocEvent> Events = loadScript(Path);
     for (AllocatorKind Allocator : nineAllocators()) {
       for (const std::vector<CacheConfig> &Family :
-           {paperCacheSweep(), assocFamily()}) {
+           {paperCacheSweep(), assocCacheSweep()}) {
         SCOPED_TRACE(Path.filename().string() + " vs " +
                      allocatorKindName(Allocator));
         ExperimentConfig Config;
@@ -453,7 +446,7 @@ TEST(CacheEngineEquivalenceTest, SetMissTelemetryMatches) {
   // histograms must be exactly those a CacheBank's per-set profiles give.
   std::vector<AllocEvent> Events = loadScript(corpusScripts().front());
   for (const std::vector<CacheConfig> &Family :
-       {paperCacheSweep(), assocFamily()}) {
+       {paperCacheSweep(), assocCacheSweep()}) {
     ExperimentConfig Config;
     Config.Allocator = AllocatorKind::FirstFit;
     Config.Caches = Family;

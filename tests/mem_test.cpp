@@ -33,12 +33,7 @@ TEST(MemoryBusSpanTest, CountsWordsAndSplitsLongSpans) {
   // other; a span may end on the last word of the address space.
   MemoryBus Bus;
   CollectingSink Words;
-  struct RecordTap final : AccessSink {
-    void accessBatch(const MemAccess *Batch, size_t Count) override {
-      Records.insert(Records.end(), Batch, Batch + Count);
-    }
-    std::vector<MemAccess> Records;
-  } Tap;
+  RecordTap Tap;
   Bus.attach(&Words);
   Bus.attach(&Tap);
   const uint32_t Long = 2 * MaxSpanWords + 7;
@@ -58,10 +53,10 @@ TEST(MemoryBusSpanTest, CountsWordsAndSplitsLongSpans) {
   EXPECT_EQ(Bus.reads(), uint64_t(Long) + 10);
   Bus.flush();
 
-  ASSERT_EQ(Tap.Records.size(), 7u);
+  ASSERT_EQ(Tap.records().size(), 7u);
   const uint16_t Splits[] = {MaxSpanWords, MaxSpanWords, 7};
   for (size_t I = 0; I != 6; ++I)
-    EXPECT_EQ(Tap.Records[I].Words, Splits[I % 3]) << "record " << I;
+    EXPECT_EQ(Tap.records()[I].Words, Splits[I % 3]) << "record " << I;
   ASSERT_EQ(Words.records().size(), 2 * size_t(Long) + 10);
   for (uint32_t I = 0; I != Long; ++I) {
     ASSERT_EQ(Words.records()[I].Address, 0x1000'0000u + 4 * I);
@@ -104,6 +99,65 @@ TEST(MemoryBusSpanDeathTest, WrappingSpanIsFatal) {
                             MaxSpanWords + 7, SpanDirection::Ascending,
                             AccessKind::Read, AccessSource::Application),
                "wraps");
+}
+
+TEST(MemoryBusSpanTest, SinkThatTakesNoSpansGetsSingleReferences) {
+  // A sink that does not take spans sees the word-by-word expansion of
+  // every batch, in chunks of at most MaxCapacity, and one that detaches
+  // inside its expanded delivery gets no further chunk.
+  struct WordSink final : AccessSink {
+    void accessBatch(const MemAccess *Batch, size_t Count) override {
+      Chunks.push_back(Count);
+      Records.insert(Records.end(), Batch, Batch + Count);
+      if (Quit) {
+        Quit->detach(this);
+        Quit = nullptr;
+      }
+    }
+    std::vector<size_t> Chunks;
+    std::vector<MemAccess> Records;
+    MemoryBus *Quit = nullptr;
+  } Plain, Quitter;
+  MemoryBus Bus;
+  CollectingSink Words;
+  Bus.attach(&Plain);
+  Bus.attach(&Quitter);
+  Bus.attach(&Words);
+  Quitter.Quit = &Bus;
+  Bus.emit(0x4000, 2, AccessKind::Read, AccessSource::Allocator);
+  Bus.emitSpan(0x1000'0000, 600, SpanDirection::Descending, AccessKind::Write,
+               AccessSource::Application);
+  Bus.emit(0x5000, 8, AccessKind::Write, AccessSource::TagEmulation);
+  Bus.flush();
+
+  EXPECT_EQ(Plain.Chunks, (std::vector<size_t>{256, 256, 90}));
+  ASSERT_EQ(Plain.Records.size(), Words.records().size());
+  for (size_t I = 0; I != Plain.Records.size(); ++I) {
+    const MemAccess &Got = Plain.Records[I], &Want = Words.records()[I];
+    ASSERT_FALSE(Got.isSpan()) << "record " << I;
+    ASSERT_EQ(Got.Address, Want.Address) << "record " << I;
+    ASSERT_EQ(Got.Size, Want.Size) << "record " << I;
+    ASSERT_EQ(Got.Kind, Want.Kind) << "record " << I;
+    ASSERT_EQ(Got.Source, Want.Source) << "record " << I;
+  }
+  EXPECT_EQ(Quitter.Chunks, (std::vector<size_t>{256}));
+}
+
+TEST(AccessBatchTest, ExpandSpansBoundsEveryChunk) {
+  // A batch without spans is handed over in place, a chunk at a time.
+  std::vector<MemAccess> Singles(600, MemAccess{0x1000, 4});
+  std::vector<size_t> Chunks;
+  const MemAccess *Next = Singles.data();
+  expandSpans(Singles.data(), Singles.size(),
+              [&](const MemAccess *Records, size_t Count) {
+                EXPECT_EQ(Records, Next);
+                Next += Count;
+                Chunks.push_back(Count);
+              });
+  EXPECT_EQ(Chunks, (std::vector<size_t>{256, 256, 88}));
+  expandSpans(Singles.data(), 0, [](const MemAccess *, size_t) {
+    ADD_FAILURE() << "an empty batch is not delivered";
+  });
 }
 
 TEST(MemoryBusTest, FansOutToAllSinks) {

@@ -45,6 +45,37 @@ TEST(RefTraceTest, BinaryRoundTrip) {
   EXPECT_FALSE(Reader.next(Extra));
 }
 
+TEST(RefTraceTest, BinaryWriterTakesBatchesOfAnyLength) {
+  // One accessBatch far past AccessBatch::MaxCapacity, of single records
+  // only and then with a span inside, decodes back record for record.
+  std::vector<MemAccess> Singles;
+  for (uint32_t I = 0; I != 1000; ++I)
+    Singles.push_back(MemAccess{0x1000'0000 + 12 * I, uint8_t(1 + I % 8),
+                                I % 3 ? AccessKind::Read : AccessKind::Write,
+                                static_cast<AccessSource>(I % 3)});
+  std::vector<MemAccess> Mixed(Singles.begin(), Singles.begin() + 100);
+  Mixed.push_back(MemAccess{0x2000'0000, 4, AccessKind::Write,
+                            AccessSource::Application,
+                            SpanDirection::Descending, 700});
+  Mixed.insert(Mixed.end(), Singles.begin() + 100, Singles.end());
+  for (const std::vector<MemAccess> *Batch : {&Singles, &Mixed}) {
+    CollectingSink Words;
+    Words.accessBatch(Batch->data(), Batch->size());
+    std::stringstream Buffer;
+    BinaryTraceWriter Writer(Buffer);
+    Writer.accessBatch(Batch->data(), Batch->size());
+    ASSERT_EQ(Writer.written(), Words.records().size());
+    BinaryTraceReader Reader(Buffer);
+    for (const MemAccess &Expected : Words.records()) {
+      MemAccess Got;
+      ASSERT_TRUE(Reader.next(Got));
+      ASSERT_TRUE(sameAccess(Expected, Got));
+    }
+    MemAccess Extra;
+    EXPECT_FALSE(Reader.next(Extra));
+  }
+}
+
 TEST(RefTraceTest, TextRoundTrip) {
   std::stringstream Buffer;
   {

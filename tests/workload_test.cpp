@@ -329,13 +329,8 @@ TEST(DriverTest, SpanEmissionMatchesPerWordModel) {
     Bus.flush();
     CollectingSink Sink;
     Bus.attach(&Sink);
-    struct RecordCounter final : AccessSink {
-      void accessBatch(const MemAccess *, size_t Count) override {
-        Records += Count;
-      }
-      uint64_t Records = 0;
-    } Counter;
-    Bus.attach(&Counter);
+    RecordTap Records;
+    Bus.attach(&Records);
 
     std::vector<Addr> Want;
     uint64_t Words = 0;
@@ -377,7 +372,7 @@ TEST(DriverTest, SpanEmissionMatchesPerWordModel) {
     Bus.flush();
     ASSERT_EQ(Sink.records().size(), Want.size());
     EXPECT_EQ(Words, Want.size());
-    EXPECT_LT(Counter.Records, Words) << "no span emitted";
+    EXPECT_LT(Records.records().size(), Words) << "no span emitted";
     for (size_t I = 0; I != Want.size(); ++I) {
       const MemAccess &Got = Sink.records()[I];
       ASSERT_EQ(Got.Address, Want[I]) << "word " << I;
