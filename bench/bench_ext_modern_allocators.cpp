@@ -13,9 +13,11 @@
 // Part one regenerates the Figure 6/7-style miss-rate-vs-cache-size cells
 // for GhostScript's small and medium inputs; part two the Table 4/5-style
 // estimated execution seconds for the allocation-heavy espresso and make at
-// 16K and 64K caches. The paper's five allocators run alongside as the
-// reference columns, out of the same MatrixRunner sweep (--jobs workers;
-// bit-identical at any job count; --out-json exports every cell).
+// 16K and 64K caches. Both are the matrices the missrate and exectime
+// conformance suites gate (conform/Conformance.h), so the paper's five
+// allocators (and, in part one, Custom) run alongside as reference
+// columns out of the same MatrixRunner sweep (--jobs workers; bit-identical
+// at any job count; --out-json exports every cell).
 //
 // Shapes to reproduce: BITMAPFIT clusters with the segregated allocators
 // (below both sequential fits at every cache size) and searches an order of
@@ -26,6 +28,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchCommon.h"
+
+#include "conform/Conformance.h"
 
 using namespace allocsim;
 
@@ -38,29 +42,23 @@ int main(int Argc, char **Argv) {
               "paper's miss-rate and execution-time studies",
               *Options);
 
-  std::vector<AllocatorKind> Allocators(PaperAllocators, PaperAllocators + 5);
-  Allocators.push_back(AllocatorKind::BitmapFit);
-  Allocators.push_back(AllocatorKind::SpaceFit);
-
   // Part one: Figure 6/7-style miss-rate columns, GS small and medium
   // inputs, direct-mapped 16K..256K.
-  MatrixSpec MissSpec =
-      paperSpec({WorkloadId::GsSmall, WorkloadId::GsMedium}, *Options);
-  MissSpec.Allocators = Allocators;
-  MissSpec.Caches = paperCacheSweep();
+  MatrixSpec MissSpec = missRateSuiteSpec();
+  MissSpec.Base = baseConfig(MissSpec.Workloads.front(), *Options);
   const std::vector<CacheConfig> &Sweep = MissSpec.Caches;
   ResultStore MissStore = runBenchMatrix(MissSpec, "missrate", *Options);
   const char *Figures[] = {"Figure 6 + moderns (GS-Small)",
                            "Figure 7 + moderns (GS-Medium)"};
   for (size_t In = 0; In != 2; ++In) {
     std::vector<std::string> Headers = {"cache KB"};
-    for (AllocatorKind Allocator : Allocators)
+    for (AllocatorKind Allocator : MissSpec.Allocators)
       Headers.emplace_back(allocatorKindName(Allocator));
     Table Out(Headers);
     for (size_t CacheIdx = 0; CacheIdx != Sweep.size(); ++CacheIdx) {
       Out.beginRow();
       Out.num(uint64_t(Sweep[CacheIdx].SizeBytes / 1024));
-      for (size_t A = 0; A != Allocators.size(); ++A)
+      for (size_t A = 0; A != MissSpec.Allocators.size(); ++A)
         Out.num(100.0 *
                     MissStore.at(In, A).Result.Caches[CacheIdx].Stats
                         .missRate(),
@@ -71,17 +69,16 @@ int main(int Argc, char **Argv) {
   }
 
   // Part two: Table 4/5-style estimated seconds at 16K and 64K, plus the
-  // allocation-policy costs that explain them.
-  MatrixSpec TimeSpec =
-      paperSpec({WorkloadId::Espresso, WorkloadId::Make}, *Options);
-  TimeSpec.Allocators = Allocators;
-  TimeSpec.Caches = {CacheConfig{16 * 1024, 32, 1},
-                     CacheConfig{64 * 1024, 32, 1}};
+  // allocation-policy costs that explain them, read at the first penalty
+  // (25 cycles; the 100-cycle cells are in the --out-json export).
+  MatrixSpec TimeSpec = execTimeSuiteSpec();
+  TimeSpec.Base = baseConfig(TimeSpec.Workloads.front(), *Options);
+  const std::vector<AllocatorKind> &Allocators = TimeSpec.Allocators;
   ResultStore TimeStore = runBenchMatrix(TimeSpec, "exectime", *Options);
-  const WorkloadId TimeWorkloads[] = {WorkloadId::Espresso, WorkloadId::Make};
-  for (size_t W = 0; W != 2; ++W) {
-    WorkloadEngine Engine(getProfile(TimeWorkloads[W]),
-                          baseConfig(TimeWorkloads[W], *Options).Engine);
+  for (size_t W = 0; W != TimeSpec.Workloads.size(); ++W) {
+    WorkloadId Workload = TimeSpec.Workloads[W];
+    WorkloadEngine Engine(getProfile(Workload),
+                          baseConfig(Workload, *Options).Engine);
     double Scale = Engine.effectiveScale();
     Table Out({"allocator", "sec 16K (total/miss)", "sec 64K (total/miss)",
                "scan/op", "malloc+free %", "heap KB"});
@@ -101,7 +98,7 @@ int main(int Argc, char **Argv) {
     }
     renderTable(Out, *Options,
                 std::string("Tables 4-5 + moderns (") +
-                    workloadName(TimeWorkloads[W]) +
+                    workloadName(Workload) +
                     "): estimated seconds, 25 MHz, scaled to paper volume");
   }
   return 0;

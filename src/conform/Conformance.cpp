@@ -12,6 +12,29 @@
 
 using namespace allocsim;
 
+MatrixSpec allocsim::missRateSuiteSpec() {
+  MatrixSpec Spec;
+  Spec.Workloads = {WorkloadId::GsSmall, WorkloadId::GsMedium};
+  Spec.Allocators = {AllocatorKind::FirstFit,  AllocatorKind::QuickFit,
+                     AllocatorKind::GnuGxx,    AllocatorKind::Bsd,
+                     AllocatorKind::GnuLocal,  AllocatorKind::Custom,
+                     AllocatorKind::BitmapFit, AllocatorKind::SpaceFit};
+  Spec.Caches = paperCacheSweep();
+  return Spec;
+}
+
+MatrixSpec allocsim::execTimeSuiteSpec() {
+  MatrixSpec Spec;
+  Spec.Workloads = {WorkloadId::Espresso, WorkloadId::Make};
+  Spec.Allocators.assign(std::begin(PaperAllocators),
+                         std::end(PaperAllocators));
+  Spec.Allocators.push_back(AllocatorKind::BitmapFit);
+  Spec.Allocators.push_back(AllocatorKind::SpaceFit);
+  Spec.PenaltiesCycles = {25, 100};
+  Spec.Caches = {{16 * 1024, 32, 1}, {64 * 1024, 32, 1}};
+  return Spec;
+}
+
 namespace {
 
 /// Everything one suite accumulates: the stores it ran (owned here, exposed
@@ -100,18 +123,7 @@ PairAssert allocPair(const std::string &Note, const std::string &Matrix,
 /// fractions) and §3.3 (search lengths) on the GhostScript input-set pair.
 void runMissRateSuite(SuiteRun &Run, const ConformOptions &Options,
                       DiagEngine &Diags) {
-  MatrixSpec Spec;
-  Spec.Workloads = {WorkloadId::GsSmall, WorkloadId::GsMedium};
-  Spec.Allocators = {AllocatorKind::FirstFit,  AllocatorKind::QuickFit,
-                     AllocatorKind::GnuGxx,    AllocatorKind::Bsd,
-                     AllocatorKind::GnuLocal,  AllocatorKind::Custom,
-                     AllocatorKind::BitmapFit, AllocatorKind::SpaceFit};
-  Spec.Caches = {{16 * 1024, 32, 1},
-                 {32 * 1024, 32, 1},
-                 {64 * 1024, 32, 1},
-                 {128 * 1024, 32, 1},
-                 {256 * 1024, 32, 1}};
-  runSuiteMatrix(Run, "missrate", std::move(Spec), Options, Diags);
+  runSuiteMatrix(Run, "missrate", missRateSuiteSpec(), Options, Diags);
   harvestMetrics(Run, "missrate");
 
   StoreMap Stores = Run.storeMap();
@@ -243,15 +255,7 @@ void runMissRateSuite(SuiteRun &Run, const ConformOptions &Options,
 /// sensitivity) on the espresso/make pair.
 void runExecTimeSuite(SuiteRun &Run, const ConformOptions &Options,
                       DiagEngine &Diags) {
-  MatrixSpec Spec;
-  Spec.Workloads = {WorkloadId::Espresso, WorkloadId::Make};
-  Spec.Allocators.assign(std::begin(PaperAllocators),
-                         std::end(PaperAllocators));
-  Spec.Allocators.push_back(AllocatorKind::BitmapFit);
-  Spec.Allocators.push_back(AllocatorKind::SpaceFit);
-  Spec.PenaltiesCycles = {25, 100};
-  Spec.Caches = {{16 * 1024, 32, 1}, {64 * 1024, 32, 1}};
-  runSuiteMatrix(Run, "exectime", std::move(Spec), Options, Diags);
+  runSuiteMatrix(Run, "exectime", execTimeSuiteSpec(), Options, Diags);
   harvestMetrics(Run, "exectime");
 
   StoreMap Stores = Run.storeMap();

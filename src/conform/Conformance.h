@@ -39,6 +39,7 @@
 #define ALLOCSIM_CONFORM_CONFORMANCE_H
 
 #include "conform/Expectations.h"
+#include "core/MatrixRunner.h"
 #include "support/Diag.h"
 
 #include <cstdint>
@@ -53,6 +54,18 @@ inline constexpr const char *ConformReportSchema = "allocsim-conform-v1";
 
 /// The suite names runConformance knows, in run order.
 std::vector<std::string> conformSuiteNames();
+
+/// The matrix the missrate suite runs: GS-Small and GS-Medium, the five
+/// paper allocators plus Custom, BitmapFit and SpaceFit, direct-mapped
+/// 16K-256K. Engine scale and seed are left at their defaults; the suite
+/// sets them from ConformOptions. bench_ext_modern_allocators renders it.
+MatrixSpec missRateSuiteSpec();
+
+/// The matrix the exectime suite runs: espresso and make, the five paper
+/// allocators plus BitmapFit and SpaceFit, 16K and 64K caches, penalties
+/// 25 and 100 cycles. Defaults as above; also rendered by
+/// bench_ext_modern_allocators.
+MatrixSpec execTimeSuiteSpec();
 
 /// Configuration of one conformance run.
 struct ConformOptions {

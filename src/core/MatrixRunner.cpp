@@ -5,6 +5,7 @@
 #include "support/Rng.h"
 #include "support/SpecParse.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -602,6 +603,13 @@ bool allocsim::parseCacheSpec(const std::string &Spec, CacheConfig &Config,
   uint32_t SizeKb = 0;
   if (!parseSpecUnsigned(Parts[0], "cache size (KB)", SizeKb, Error))
     return false;
+  // The byte capacity is a 32-bit field; a larger size would wrap.
+  if (SizeKb > UINT32_MAX / 1024) {
+    Error = "bad cache size (KB): '" + Parts[0] +
+            "' is out of range (at most " + std::to_string(UINT32_MAX / 1024) +
+            ")";
+    return false;
+  }
   Config.SizeBytes = SizeKb * 1024;
   Config.BlockBytes = 32;
   Config.Assoc = 1;
@@ -621,100 +629,136 @@ bool allocsim::parseCacheSpec(const std::string &Spec, CacheConfig &Config,
   return true;
 }
 
-bool allocsim::parseCacheList(const std::string &Text,
-                              std::vector<CacheConfig> &Out,
-                              std::string &Error) {
-  Out.clear();
-  for (const std::string &Item : splitSpecList(Text, ',')) {
-    if (Item.empty()) {
-      Error = "bad cache list '" + Text +
-              "': empty item (stray or trailing comma)";
-      return false;
-    }
-    CacheConfig Config;
-    if (!parseCacheSpec(Item, Config, Error))
-      return false;
-    Out.push_back(Config);
+namespace {
+
+/// Walks the comma-separated items of \p Axis's value, handing each
+/// non-empty item and its location to \p Parse, which returns why the item
+/// is bad ("" when it is good). A bad or empty item (stray or trailing
+/// comma) raises \p Rule at the item's own column.
+template <typename Fn>
+void forEachItem(const SpecKeyValue &Axis, const char *Rule,
+                 DiagEngine &Diags, Fn Parse) {
+  size_t Offset = Axis.Offset + Axis.Key.size() + 1;
+  for (const std::string &Item : splitSpecList(Axis.Value, ',')) {
+    SourceLoc Loc{1, static_cast<uint32_t>(Offset + 1)};
+    Offset += Item.size() + 1;
+    std::string Why = Item.empty() ? "empty item in '" + Axis.Value +
+                                         "' (stray or trailing comma)"
+                                   : Parse(Item, Loc);
+    if (!Why.empty())
+      Diags.error(Rule, Loc, Why);
   }
-  return true;
 }
 
+/// Appends \p Value to \p Axis, warning (spec-duplicate-value) when it is
+/// already there: the run keeps both, so the matrix has duplicate cells.
+template <typename T>
+void addAxisValue(std::vector<T> &Axis, T Value, const std::string &What,
+                  const std::string &Item, SourceLoc Loc, DiagEngine &Diags) {
+  if (std::find(Axis.begin(), Axis.end(), Value) != Axis.end())
+    Diags.warning("spec-duplicate-value", Loc,
+                  What + " '" + Item +
+                      "' listed twice (duplicate matrix cells)");
+  Axis.push_back(Value);
+}
+
+/// Parses a paging or penalty axis into \p Values.
+void parseNumberAxis(const SpecKeyValue &Axis, const char *What,
+                     std::vector<uint32_t> &Values, DiagEngine &Diags) {
+  Values.clear();
+  forEachItem(Axis, "spec-bad-number", Diags,
+              [&](const std::string &Item, SourceLoc) {
+                uint32_t Value = 0;
+                std::string Why;
+                if (parseSpecUnsigned(Item, What, Value, Why))
+                  Values.push_back(Value);
+                return Why;
+              });
+}
+
+} // namespace
+
 bool allocsim::parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,
-                               std::string &Error) {
+                               DiagEngine &Diags) {
+  size_t ErrorsBefore = Diags.errorCount();
   Spec.Workloads.clear();
   Spec.Allocators.clear();
   Spec.PenaltiesCycles = {25};
   Spec.Caches.clear();
   Spec.PagingMemoryKb.clear();
 
-  // Structural pass: axis shape, duplicate keys, empty values. The old
-  // parser silently accumulated duplicate list axes but last-write-won on
-  // scalar axes; both are now hard errors.
-  DiagEngine Diags;
-  std::vector<SpecKeyValue> Axes = parseSpecKeyValues(Text, Diags);
-  if (Diags.errorCount() != 0) {
-    Error = "bad matrix spec: " + Diags.firstError();
-    return false;
-  }
-
-  for (const SpecKeyValue &Axis : Axes) {
-    const std::string &Key = Axis.Key;
-    const std::string &Value = Axis.Value;
-    if (Key == "workloads") {
-      for (const std::string &Name : splitSpecList(Value, ',')) {
-        WorkloadId Id;
-        if (!tryParseWorkload(Name, Id)) {
-          Error = "unknown workload '" + Name + "' in matrix spec";
-          return false;
-        }
-        Spec.Workloads.push_back(Id);
-      }
-    } else if (Key == "allocators") {
-      for (const std::string &Name : splitSpecList(Value, ',')) {
-        AllocatorKind Kind;
-        if (!tryParseAllocatorKind(Name, Kind)) {
-          Error = "unknown allocator '" + Name + "' in matrix spec";
-          return false;
-        }
-        Spec.Allocators.push_back(Kind);
-      }
-    } else if (Key == "caches") {
-      if (!parseCacheList(Value, Spec.Caches, Error))
-        return false;
-    } else if (Key == "paging") {
-      if (!parseSpecUnsignedList(Value, "paging memory size (KB)",
-                                 Spec.PagingMemoryKb, Error))
-        return false;
-    } else if (Key == "penalty") {
-      if (!parseSpecUnsignedList(Value, "miss penalty (cycles)",
-                                 Spec.PenaltiesCycles, Error))
-        return false;
-      if (Spec.PenaltiesCycles.empty()) {
-        Error = "matrix axis 'penalty' must list at least one value";
-        return false;
-      }
-    } else if (Key == "telemetry") {
-      if (!tryParseTelemetryLevel(Value, Spec.Base.Telemetry)) {
-        Error = "bad matrix value 'telemetry=" + Value +
-                "' (expected off, summary or full)";
-        return false;
-      }
+  // Structural pass (spec-empty-axis, -missing-equals, -duplicate-axis,
+  // -empty-value); the axes that survive it are parsed below.
+  bool SawWorkloads = false, SawAllocators = false;
+  for (const SpecKeyValue &Axis : parseSpecKeyValues(Text, Diags)) {
+    if (Axis.Key == "workloads") {
+      SawWorkloads = true;
+      forEachItem(Axis, "spec-unknown-workload", Diags,
+                  [&](const std::string &Item, SourceLoc Loc) {
+                    WorkloadId Id;
+                    if (!tryParseWorkload(Item, Id))
+                      return "unknown workload '" + Item + "'";
+                    addAxisValue(Spec.Workloads, Id, "workload", Item, Loc,
+                                 Diags);
+                    return std::string();
+                  });
+    } else if (Axis.Key == "allocators") {
+      SawAllocators = true;
+      forEachItem(Axis, "spec-unknown-allocator", Diags,
+                  [&](const std::string &Item, SourceLoc Loc) {
+                    AllocatorKind Kind;
+                    if (!tryParseAllocatorKind(Item, Kind))
+                      return "unknown allocator '" + Item + "'";
+                    addAxisValue(Spec.Allocators, Kind, "allocator", Item,
+                                 Loc, Diags);
+                    return std::string();
+                  });
+    } else if (Axis.Key == "caches") {
+      forEachItem(Axis, "spec-bad-cache", Diags,
+                  [&](const std::string &Item, SourceLoc) {
+                    CacheConfig Config;
+                    std::string Why;
+                    if (parseCacheSpec(Item, Config, Why))
+                      Spec.Caches.push_back(Config);
+                    return Why;
+                  });
+    } else if (Axis.Key == "paging") {
+      parseNumberAxis(Axis, "paging memory size (KB)", Spec.PagingMemoryKb,
+                      Diags);
+    } else if (Axis.Key == "penalty") {
+      parseNumberAxis(Axis, "miss penalty (cycles)", Spec.PenaltiesCycles,
+                      Diags);
+    } else if (Axis.Key == "telemetry") {
+      if (!tryParseTelemetryLevel(Axis.Value, Spec.Base.Telemetry))
+        Diags.error("spec-bad-value",
+                    {1, static_cast<uint32_t>(Axis.Offset + Axis.Key.size() +
+                                              2)},
+                    "bad telemetry level '" + Axis.Value +
+                        "' (expected off, summary or full)");
     } else {
-      Error = "unknown matrix axis '" + Key +
-              "' (expected workloads/allocators/caches/paging/penalty/"
-              "telemetry)";
-      return false;
+      Diags.error("spec-unknown-axis",
+                  {1, static_cast<uint32_t>(Axis.Offset + 1)},
+                  "unknown matrix axis '" + Axis.Key +
+                      "' (expected workloads/allocators/caches/paging/"
+                      "penalty/telemetry)");
     }
   }
-  if (Spec.Workloads.empty()) {
-    Error = "matrix spec must name at least one workload "
-            "(workloads=gs,espresso,...)";
-    return false;
-  }
-  if (Spec.Allocators.empty()) {
-    Error = "matrix spec must name at least one allocator "
-            "(allocators=FirstFit,BSD,...)";
-    return false;
-  }
-  return true;
+
+  // No workload (or allocator) means the cell cross-product is empty. An
+  // axis whose every name was bad already carries its own errors; this one
+  // says why nothing would run.
+  if (Spec.Workloads.empty())
+    Diags.error("spec-missing-workloads", {},
+                SawWorkloads ? "no usable workload survives the 'workloads' "
+                               "axis; the cell cross-product is empty"
+                             : "matrix spec must name at least one workload "
+                               "(workloads=gs,espresso,...)");
+  if (Spec.Allocators.empty())
+    Diags.error("spec-missing-allocators", {},
+                SawAllocators
+                    ? "no usable allocator survives the 'allocators' axis; "
+                      "the cell cross-product is empty"
+                    : "matrix spec must name at least one allocator "
+                      "(allocators=FirstFit,BSD,...)");
+  return Diags.errorCount() == ErrorsBefore;
 }

@@ -52,6 +52,7 @@
 #define ALLOCSIM_CORE_MATRIXRUNNER_H
 
 #include "core/Lab.h"
+#include "support/Diag.h"
 
 #include <functional>
 #include <iosfwd>
@@ -218,15 +219,13 @@ ResultStore runMatrix(const MatrixSpec &Spec,
                       const MatrixOptions &Options = {});
 
 /// Parses a cache spec "sizeKB[:blockBytes[:assoc]]" with diagnostics.
+/// Fields are digits only; sizeKB is at most 4194303 (the byte capacity is
+/// a 32-bit field).
 bool parseCacheSpec(const std::string &Spec, CacheConfig &Config,
                     std::string &Error);
 
-/// Parses a comma-separated cache-spec list; empty text yields an empty
-/// list; empty items and malformed geometries are errors.
-bool parseCacheList(const std::string &Text, std::vector<CacheConfig> &Out,
-                    std::string &Error);
-
-/// Parses the --matrix axis string:
+/// Parses the --matrix axis string, the one grammar behind every front end
+/// (allocsim_cli's run, its single-axis flags and --lint, allocsim_lint):
 ///
 ///   workloads=gs,espresso;allocators=FirstFit,BSD;caches=16,64:32:2;
 ///   paging=512,1024;penalty=25,100
@@ -235,9 +234,30 @@ bool parseCacheList(const std::string &Text, std::vector<CacheConfig> &Out,
 /// required, caches/paging default to empty, penalty defaults to {25}.
 /// The scalar key telemetry=off|summary|full sets Spec.Base.Telemetry.
 /// Workload engine options (scale/seed/...) stay in Spec.Base and are not
-/// part of the axis string. Returns false with a diagnostic on malformed input.
+/// part of the axis string.
+///
+/// The parse is exhaustive: every problem is reported into \p Diags, at
+/// line 1 and the column of the offending axis or item, and the spec is
+/// filled in the same pass. Rules (E = error, W = warning):
+///
+///   spec-empty-axis, -missing-equals, -duplicate-axis, -empty-value
+///                            E  structure (support/SpecParse.h)
+///   spec-unknown-axis       E  unrecognized axis key
+///   spec-unknown-workload   E  name tryParseWorkload rejects, or empty item
+///   spec-unknown-allocator  E  name tryParseAllocatorKind rejects, or empty
+///   spec-bad-cache          E  cache spec parseCacheSpec rejects, or empty
+///   spec-bad-number         E  bad paging/penalty item
+///   spec-bad-value          E  bad telemetry level
+///   spec-duplicate-value    W  workload/allocator listed twice (kept: the
+///                              matrix runs duplicate cells)
+///   spec-missing-workloads  E  no workload survives (absent axis or every
+///                              name bad: the cell cross-product is empty)
+///   spec-missing-allocators E  likewise for allocators
+///
+/// Returns true exactly when no error was raised (warnings do not fail the
+/// parse). On false, \p Spec is partly filled and must not be run.
 bool parseMatrixSpec(const std::string &Text, MatrixSpec &Spec,
-                     std::string &Error);
+                     DiagEngine &Diags);
 
 } // namespace allocsim
 

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The diagnostics engine shared by the static analyses (TraceLint over
-/// allocation-event scripts, the matrix-spec linter). Unlike the fatal
-/// reporting in support/Error.h — which is the right tool once a simulation
+/// The diagnostics engine shared by the static analyses and the spec
+/// parsers (TraceLint over allocation-event scripts, parseMatrixSpec,
+/// parseFaultPlan). Unlike the fatal reporting in support/Error.h — which is the right tool once a simulation
 /// is running on input that was promised to be sound — an analysis pass
 /// must report *every* problem it can find, with a stable machine-matchable
 /// rule id and a precise source location, and let the caller decide what an

@@ -2,7 +2,7 @@
 
 #include "support/SpecParse.h"
 
-#include <cstdlib>
+#include <algorithm>
 
 using namespace allocsim;
 
@@ -30,17 +30,22 @@ bool allocsim::parseSpecUnsigned(const std::string &Text,
     Error = "missing " + What;
     return false;
   }
-  char *End = nullptr;
-  unsigned long Parsed = std::strtoul(Text.c_str(), &End, 10);
-  if (End == Text.c_str() || *End != '\0') {
-    Error = "bad " + What + ": '" + Text + "' is not a number";
-    return false;
+  // Digits only: no sign, no whitespace, so a negative value cannot wrap.
+  // The running value saturates just past the 32-bit range.
+  uint64_t Parsed = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9') {
+      Error = "bad " + What + ": '" + Text + "' is not a number";
+      return false;
+    }
+    Parsed = std::min<uint64_t>(Parsed * 10 + uint64_t(C - '0'),
+                                uint64_t(UINT32_MAX) + 1);
   }
   if (Parsed == 0) {
     Error = "bad " + What + ": must be positive, got '" + Text + "'";
     return false;
   }
-  if (Parsed > 0xFFFFFFFFul) {
+  if (Parsed > UINT32_MAX) {
     Error = "bad " + What + ": '" + Text + "' is out of range";
     return false;
   }
@@ -88,23 +93,4 @@ std::vector<SpecKeyValue> allocsim::parseSpecKeyValues(const std::string &Text,
       Axes.push_back(std::move(KV));
   }
   return Axes;
-}
-
-bool allocsim::parseSpecUnsignedList(const std::string &Text,
-                                     const std::string &What,
-                                     std::vector<uint32_t> &Values,
-                                     std::string &Error) {
-  Values.clear();
-  for (const std::string &Item : splitSpecList(Text, ',')) {
-    if (Item.empty()) {
-      Error = "bad " + What + " list '" + Text +
-              "': empty item (stray or trailing comma)";
-      return false;
-    }
-    uint32_t Value = 0;
-    if (!parseSpecUnsigned(Item, What, Value, Error))
-      return false;
-    Values.push_back(Value);
-  }
-  return true;
 }

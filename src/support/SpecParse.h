@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Strict, diagnostic-returning parsers for the comma/colon-separated spec
-/// strings the tools accept (--caches, --paging, --matrix). Unlike the old
-/// ad-hoc splitting, empty items are *kept*, so malformed specs such as
-/// "16,,64" or a trailing comma surface as errors instead of being silently
-/// swallowed. Nothing here aborts: every parser reports failure through a
-/// bool + error message so tools can print a usage-friendly diagnostic and
-/// exit nonzero.
+/// Strict, diagnostic-returning pieces of the `key=value;key=value` spec
+/// grammar that --matrix and --inject share. Empty items are *kept*, so
+/// malformed specs such as "16,,64" or a trailing comma surface as errors
+/// instead of being silently swallowed. Nothing here aborts. The axis
+/// meanings live with their parsers: parseMatrixSpec (core/MatrixRunner.h)
+/// and parseFaultPlan (inject/FaultPlan.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,16 +30,11 @@ namespace allocsim {
 /// a list with one empty item.
 std::vector<std::string> splitSpecList(const std::string &Text, char Sep);
 
-/// Parses a positive decimal integer. On failure, returns false and sets
+/// Parses a positive decimal integer made of ASCII digits only (no sign,
+/// no whitespace) that fits 32 bits. On failure, returns false and sets
 /// \p Error to a message naming \p What and the offending text.
 bool parseSpecUnsigned(const std::string &Text, const std::string &What,
                        uint32_t &Value, std::string &Error);
-
-/// Parses a comma-separated list of positive integers (e.g. the --paging
-/// memory sizes). An empty \p Text yields an empty list. Empty items,
-/// trailing separators, and non-numeric items are errors.
-bool parseSpecUnsignedList(const std::string &Text, const std::string &What,
-                           std::vector<uint32_t> &Values, std::string &Error);
 
 /// One `key=value` axis of a semicolon-separated spec such as --matrix,
 /// with where its key starts in the original text (0-based; diagnostics
@@ -64,8 +58,7 @@ struct SpecKeyValue {
 ///
 /// Axes that parse cleanly (first occurrence on duplicates) are returned in
 /// spec order. Key *meaning* — known axis names, value syntax — is the
-/// caller's to check; parseMatrixSpec stops at the first error, the
-/// matrix-spec linter (analyze/SpecLint.h) reports all of them.
+/// caller's to check.
 std::vector<SpecKeyValue> parseSpecKeyValues(const std::string &Text,
                                              DiagEngine &Diags);
 

@@ -81,6 +81,15 @@ void expectSameRunResult(const RunResult &A, const RunResult &B) {
   }
 }
 
+/// Parses a matrix spec; \p Error is the first error ("" when none).
+bool parseSpec(const std::string &Text, MatrixSpec &Spec,
+               std::string &Error) {
+  DiagEngine Diags;
+  bool Parsed = parseMatrixSpec(Text, Spec, Diags);
+  Error = Diags.firstError();
+  return Parsed;
+}
+
 } // namespace
 
 TEST(MatrixRunnerTest, ExpansionOrderAndSeeds) {
@@ -560,7 +569,7 @@ TEST(MatrixRunnerTest, ProgressReportingCoversEveryCell) {
 TEST(MatrixRunnerTest, ParseMatrixSpecRoundTrip) {
   MatrixSpec Spec;
   std::string Error;
-  ASSERT_TRUE(parseMatrixSpec(
+  ASSERT_TRUE(parseSpec(
       "workloads=gs,espresso;allocators=FirstFit,BSD,QuickFit;"
       "caches=16,64:32:2;paging=512,1024;penalty=25,100",
       Spec, Error))
@@ -584,34 +593,32 @@ TEST(MatrixRunnerTest, ParseMatrixSpecDiagnostics) {
   MatrixSpec Spec;
   std::string Error;
 
-  EXPECT_FALSE(parseMatrixSpec("allocators=FirstFit", Spec, Error));
+  EXPECT_FALSE(parseSpec("allocators=FirstFit", Spec, Error));
   EXPECT_NE(Error.find("at least one workload"), std::string::npos);
 
-  EXPECT_FALSE(parseMatrixSpec("workloads=gs", Spec, Error));
+  EXPECT_FALSE(parseSpec("workloads=gs", Spec, Error));
   EXPECT_NE(Error.find("at least one allocator"), std::string::npos);
 
-  EXPECT_FALSE(parseMatrixSpec("workloads=gs;allocators=NotAnAllocator",
-                               Spec, Error));
+  EXPECT_FALSE(
+      parseSpec("workloads=gs;allocators=NotAnAllocator", Spec, Error));
   EXPECT_NE(Error.find("NotAnAllocator"), std::string::npos);
 
-  EXPECT_FALSE(parseMatrixSpec("workloads=quake;allocators=BSD", Spec,
-                               Error));
+  EXPECT_FALSE(parseSpec("workloads=quake;allocators=BSD", Spec, Error));
   EXPECT_NE(Error.find("quake"), std::string::npos);
 
-  EXPECT_FALSE(parseMatrixSpec("workloads=gs;allocators=BSD;", Spec, Error));
+  EXPECT_FALSE(parseSpec("workloads=gs;allocators=BSD;", Spec, Error));
   EXPECT_NE(Error.find("empty axis"), std::string::npos);
 
   EXPECT_FALSE(
-      parseMatrixSpec("workloads=gs;allocators=BSD;planets=mars", Spec,
-                      Error));
+      parseSpec("workloads=gs;allocators=BSD;planets=mars", Spec, Error));
   EXPECT_NE(Error.find("unknown matrix axis"), std::string::npos);
 
-  EXPECT_FALSE(parseMatrixSpec("workloads=gs;allocators=BSD;caches=16,,64",
-                               Spec, Error));
+  EXPECT_FALSE(
+      parseSpec("workloads=gs;allocators=BSD;caches=16,,64", Spec, Error));
   EXPECT_NE(Error.find("empty item"), std::string::npos);
 
-  EXPECT_FALSE(parseMatrixSpec("workloads=gs;allocators=BSD;caches=17",
-                               Spec, Error));
+  EXPECT_FALSE(
+      parseSpec("workloads=gs;allocators=BSD;caches=17", Spec, Error));
   EXPECT_NE(Error.find("invalid cache geometry"), std::string::npos);
 }
 

@@ -375,14 +375,14 @@ TEST(TelemetryMatrixTest, MergedEqualsFoldOfCells) {
 
 TEST(TelemetryMatrixTest, SpecParsesTelemetryAxis) {
   MatrixSpec Spec;
-  std::string Error;
+  DiagEngine Diags;
   ASSERT_TRUE(parseMatrixSpec(
-      "workloads=gs;allocators=FirstFit;telemetry=full", Spec, Error))
-      << Error;
+      "workloads=gs;allocators=FirstFit;telemetry=full", Spec, Diags))
+      << Diags.firstError();
   EXPECT_EQ(Spec.Base.Telemetry, TelemetryLevel::Full);
   EXPECT_FALSE(parseMatrixSpec(
-      "workloads=gs;allocators=FirstFit;telemetry=loud", Spec, Error));
-  EXPECT_NE(Error.find("telemetry"), std::string::npos);
+      "workloads=gs;allocators=FirstFit;telemetry=loud", Spec, Diags));
+  EXPECT_NE(Diags.firstError().find("telemetry"), std::string::npos);
 }
 
 } // namespace

@@ -1,9 +1,9 @@
-//===- tests/tracelint_test.cpp - TraceLint/SpecLint rule tests -----------===//
+//===- tests/tracelint_test.cpp - TraceLint/matrix-spec rule tests --------===//
 //
 // Per-rule unit tests for the static analyses: every TraceLint rule id
 // fires on a handcrafted bad script with the correct line (and column for
-// syntax rules), every SpecLint rule fires on a handcrafted bad matrix
-// spec, analysis is exhaustive (all defects reported, not just the first),
+// syntax rules), every spec-* rule of parseMatrixSpec fires on a
+// handcrafted bad matrix spec, analysis is exhaustive (all defects reported, not just the first),
 // and the lifetime IR and static predictions are exact on hand-computed
 // examples. Rule ids are contract: a rename here is a breaking change for
 // CI annotations and downstream automation.
@@ -11,7 +11,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyze/LintReport.h"
-#include "analyze/SpecLint.h"
 #include "analyze/TraceLint.h"
 #include "core/MatrixRunner.h"
 #include "support/SpecParse.h"
@@ -45,6 +44,22 @@ bool hasRule(const DiagEngine &Diags, const std::string &Rule,
     return true;
   }
   return false;
+}
+
+/// Lints a matrix spec the way allocsim_lint does: parses it into a
+/// scratch spec, keeping only the findings.
+void lintSpec(const std::string &Text, DiagEngine &Diags) {
+  MatrixSpec Scratch;
+  parseMatrixSpec(Text, Scratch, Diags);
+}
+
+/// Parses a matrix spec; \p Error is the first error ("" when none).
+bool parseSpec(const std::string &Text, MatrixSpec &Spec,
+               std::string &Error) {
+  DiagEngine Diags;
+  bool Parsed = parseMatrixSpec(Text, Spec, Diags);
+  Error = Diags.firstError();
+  return Parsed;
 }
 
 } // namespace
@@ -290,10 +305,10 @@ TEST(MatrixSpecParseTest, RejectsDuplicateAxis) {
   // last-write-won on scalar axes); both are now hard errors.
   MatrixSpec Spec;
   std::string Error;
-  EXPECT_FALSE(parseMatrixSpec(
-      "workloads=gs;allocators=BSD;workloads=espresso", Spec, Error));
+  EXPECT_FALSE(parseSpec("workloads=gs;allocators=BSD;workloads=espresso",
+                         Spec, Error));
   EXPECT_NE(Error.find("given twice"), std::string::npos);
-  EXPECT_FALSE(parseMatrixSpec(
+  EXPECT_FALSE(parseSpec(
       "workloads=gs;allocators=BSD;telemetry=off;telemetry=full", Spec,
       Error));
 }
@@ -301,14 +316,14 @@ TEST(MatrixSpecParseTest, RejectsDuplicateAxis) {
 TEST(MatrixSpecParseTest, RejectsEmptyAxisValue) {
   MatrixSpec Spec;
   std::string Error;
-  EXPECT_FALSE(parseMatrixSpec("workloads=;allocators=BSD", Spec, Error));
+  EXPECT_FALSE(parseSpec("workloads=;allocators=BSD", Spec, Error));
   EXPECT_NE(Error.find("empty value"), std::string::npos);
 }
 
 TEST(MatrixSpecParseTest, CleanSpecStillParses) {
   MatrixSpec Spec;
   std::string Error;
-  ASSERT_TRUE(parseMatrixSpec(
+  ASSERT_TRUE(parseSpec(
       "workloads=gs,espresso;allocators=FirstFit,BSD;caches=16,64;"
       "penalty=25,100;telemetry=summary",
       Spec, Error))
@@ -320,40 +335,40 @@ TEST(MatrixSpecParseTest, CleanSpecStillParses) {
 }
 
 //===----------------------------------------------------------------------===//
-// SpecLint
+// Matrix-spec rules (the findings allocsim_lint --matrix reports)
 //===----------------------------------------------------------------------===//
 
 TEST(SpecLintTest, CleanSpec) {
   DiagEngine Diags;
-  lintMatrixSpec("workloads=gs;allocators=BSD,FirstFit;caches=16:32:2;"
-                 "paging=512;penalty=25;telemetry=full",
-                 Diags);
+  lintSpec("workloads=gs;allocators=BSD,FirstFit;caches=16:32:2;"
+           "paging=512;penalty=25;telemetry=full",
+           Diags);
   EXPECT_TRUE(Diags.clean());
 }
 
 TEST(SpecLintTest, RetiredDeliveryAxisIsUnknown) {
   // Sinks have one delivery path, so `delivery` is not a matrix axis: the
-  // parser and the linter reject it like any unknown key. (Key and value
-  // are spelled apart so a search for uses of the axis skips this test.)
+  // parser rejects it like any unknown key. (Key and value are spelled
+  // apart so a search for uses of the axis skips this test.)
   const std::string Text = "workloads=gs;allocators=BSD;delivery"
                            "=scalar";
   MatrixSpec Spec;
   std::string Error;
-  EXPECT_FALSE(parseMatrixSpec(Text, Spec, Error));
+  EXPECT_FALSE(parseSpec(Text, Spec, Error));
   EXPECT_NE(Error.find("unknown matrix axis 'delivery'"), std::string::npos)
       << Error;
 
   DiagEngine Diags;
-  lintMatrixSpec(Text, Diags);
+  lintSpec(Text, Diags);
   EXPECT_TRUE(hasRule(Diags, "spec-unknown-axis", 1, 29));
   EXPECT_EQ(Diags.errorCount(), 1u);
 }
 
 TEST(SpecLintTest, ReportsEveryProblem) {
   DiagEngine Diags;
-  lintMatrixSpec("workloads=gs,bogus,gs;allocators=BSD;caches=17;"
-                 "penalty=0;planets=mars;telemetry=loud",
-                 Diags);
+  lintSpec("workloads=gs,bogus,gs;allocators=BSD;caches=17;"
+           "penalty=0;planets=mars;telemetry=loud",
+           Diags);
   EXPECT_TRUE(hasRule(Diags, "spec-unknown-workload", 1, 14));
   EXPECT_TRUE(hasRule(Diags, "spec-duplicate-value", 1, 20));
   EXPECT_TRUE(hasRule(Diags, "spec-bad-cache"));
@@ -366,14 +381,14 @@ TEST(SpecLintTest, ReportsEveryProblem) {
 
 TEST(SpecLintTest, MissingRequiredAxes) {
   DiagEngine Diags;
-  lintMatrixSpec("caches=16", Diags);
+  lintSpec("caches=16", Diags);
   EXPECT_TRUE(hasRule(Diags, "spec-missing-workloads"));
   EXPECT_TRUE(hasRule(Diags, "spec-missing-allocators"));
 }
 
 TEST(SpecLintTest, EmptyCrossProductWhenNoNameSurvives) {
   DiagEngine Diags;
-  lintMatrixSpec("workloads=bogus;allocators=BSD", Diags);
+  lintSpec("workloads=bogus;allocators=BSD", Diags);
   EXPECT_TRUE(hasRule(Diags, "spec-unknown-workload"));
   EXPECT_TRUE(hasRule(Diags, "spec-missing-workloads"));
   EXPECT_FALSE(hasRule(Diags, "spec-missing-allocators"));
@@ -381,29 +396,8 @@ TEST(SpecLintTest, EmptyCrossProductWhenNoNameSurvives) {
 
 TEST(SpecLintTest, UnknownAllocator) {
   DiagEngine Diags;
-  lintMatrixSpec("workloads=gs;allocators=BSD,NotReal", Diags);
+  lintSpec("workloads=gs;allocators=BSD,NotReal", Diags);
   EXPECT_TRUE(hasRule(Diags, "spec-unknown-allocator", 1, 29));
-}
-
-TEST(SpecLintTest, AgreesWithParseMatrixSpec) {
-  // A spec lints clean iff parseMatrixSpec accepts it.
-  const char *Specs[] = {
-      "workloads=gs;allocators=BSD",
-      "workloads=gs,espresso;allocators=FirstFit,BSD;caches=16,64",
-      "workloads=gs;allocators=BSD;workloads=es", // duplicate axis
-      "workloads=gs",                             // missing allocators
-      "workloads=gs;allocators=",                 // empty value
-      "workloads=gs;allocators=BSD;caches=16,,64",
-      "workloads=gs;allocators=BSD;junk=1",
-  };
-  for (const char *Text : Specs) {
-    DiagEngine Diags;
-    lintMatrixSpec(Text, Diags);
-    MatrixSpec Spec;
-    std::string Error;
-    EXPECT_EQ(Diags.errorCount() == 0, parseMatrixSpec(Text, Spec, Error))
-        << "disagreement on '" << Text << "': " << Error;
-  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -14,20 +14,22 @@
 //   allocsim_cli --matrix "workloads=gs,espresso;allocators=FirstFit,BSD;
 //                caches=16,64;penalty=25,100" --jobs=8 --out-json=out.json
 //
-// Cache syntax: sizeKB[:blockBytes[:assoc]], comma separated. Malformed
-// specs (empty items, trailing commas, non-numeric fields) are rejected
-// with a diagnostic and a nonzero exit, never silently dropped.
+// Cache syntax: sizeKB[:blockBytes[:assoc]], comma separated. Each
+// single-axis flag is one axis of a matrix spec, and every spec goes
+// through parseMatrixSpec: malformed specs (empty items, trailing commas,
+// non-numeric fields) are rejected with every diagnostic and exit 2, never
+// silently dropped; a warning (a name listed twice) is printed and the run
+// goes on.
 //
-// --lint / --lint-json check the --matrix spec exhaustively (every problem
-// reported, not just the first) and exit without running anything: 0 when
-// the spec is clean, 1 when findings were reported, 2 on bad usage.
+// --lint / --lint-json check the --matrix spec with the same parser and
+// exit without running anything: 0 when the spec is clean, 1 when findings
+// were reported, 2 on bad usage.
 //
 // Exit status: 0 on success, 1 if any matrix cell failed, 2 on bad usage.
 //
 //===----------------------------------------------------------------------===//
 
 #include "analyze/LintReport.h"
-#include "analyze/SpecLint.h"
 #include "conform/Conformance.h"
 #include "core/MatrixRunner.h"
 #include "inject/FaultPlan.h"
@@ -47,6 +49,36 @@ namespace {
 int usageError(const std::string &Message) {
   std::cerr << "allocsim_cli: error: " << Message << "\n";
   return 2;
+}
+
+/// The single-axis flags as one matrix spec, each flag's value taken as
+/// the value of its axis. An empty --caches or --paging leaves its axis
+/// out (no caches, no paging points).
+bool singleAxisSpec(const CommandLine &Cli, std::string &Text,
+                    std::string &Error) {
+  struct AxisFlag {
+    const char *Flag;
+    const char *Axis;
+    bool Optional;
+  };
+  const AxisFlag Flags[] = {{"workload", "workloads", false},
+                            {"allocators", "allocators", false},
+                            {"caches", "caches", true},
+                            {"paging", "paging", true},
+                            {"penalty", "penalty", false}};
+  for (const AxisFlag &F : Flags) {
+    const std::string &Value = Cli.getString(F.Flag);
+    if (Value.find(';') != std::string::npos) {
+      Error = "bad --" + std::string(F.Flag) + " '" + Value +
+              "': ';' would start another axis (use --matrix)";
+      return false;
+    }
+    if (Value.empty() && F.Optional)
+      continue;
+    Text.append(Text.empty() ? "" : ";").append(F.Axis).append("=");
+    Text += Value;
+  }
+  return true;
 }
 
 bool writeStoreFile(const ResultStore &Store, const std::string &Path,
@@ -185,7 +217,8 @@ int main(int Argc, char **Argv) {
     LintInput Input;
     Input.Name = "--matrix";
     Input.Kind = "matrix-spec";
-    lintMatrixSpec(Cli.getString("matrix"), Input.Diags);
+    MatrixSpec Scratch;
+    parseMatrixSpec(Cli.getString("matrix"), Scratch, Input.Diags);
     std::vector<LintInput> Inputs;
     Inputs.push_back(std::move(Input));
     if (Cli.getBool("lint-json"))
@@ -216,37 +249,16 @@ int main(int Argc, char **Argv) {
       Spec.Base.Inject.Seed = Spec.Base.Engine.Seed;
   }
 
-  if (!Cli.getString("matrix").empty()) {
-    if (!parseMatrixSpec(Cli.getString("matrix"), Spec, Error))
-      return usageError(Error);
-  } else {
-    WorkloadId Workload;
-    if (!tryParseWorkload(Cli.getString("workload"), Workload))
-      return usageError("unknown workload '" + Cli.getString("workload") +
-                        "'");
-    Spec.Workloads = {Workload};
-    for (const std::string &Name :
-         splitSpecList(Cli.getString("allocators"), ',')) {
-      AllocatorKind Kind;
-      if (!tryParseAllocatorKind(Name, Kind))
-        return usageError("unknown allocator '" + Name + "'");
-      Spec.Allocators.push_back(Kind);
-    }
-    if (Spec.Allocators.empty())
-      return usageError("--allocators must name at least one allocator");
-    if (!parseCacheList(Cli.getString("caches"), Spec.Caches, Error))
-      return usageError(Error);
-    if (!parseSpecUnsignedList(Cli.getString("paging"),
-                               "paging memory size (KB)",
-                               Spec.PagingMemoryKb, Error))
-      return usageError(Error);
-    if (!parseSpecUnsignedList(Cli.getString("penalty"),
-                               "miss penalty (cycles)", Spec.PenaltiesCycles,
-                               Error))
-      return usageError(Error);
-    if (Spec.PenaltiesCycles.empty())
-      return usageError("--penalty must list at least one value");
-  }
+  std::string Text = Cli.getString("matrix");
+  if (Text.empty() && !singleAxisSpec(Cli, Text, Error))
+    return usageError(Error);
+  DiagEngine Diags;
+  bool Parsed = parseMatrixSpec(Text, Spec, Diags);
+  for (const Diag &D : Diags.diags())
+    std::cerr << "allocsim_cli: " << diagSeverityName(D.Severity) << ": "
+              << D.Message << " [" << D.Rule << "]\n";
+  if (!Parsed)
+    return 2;
 
   MatrixOptions Options;
   Options.Jobs = static_cast<unsigned>(Jobs);

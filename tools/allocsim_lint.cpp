@@ -5,7 +5,8 @@
 // TraceLint's command-line front end: lints allocation-event scripts and
 // matrix specs without running a single simulated instruction, reporting
 // every finding (not just the first) with file:line:column and a stable
-// rule id.
+// rule id. A matrix spec goes through parseMatrixSpec, the parser every
+// allocsim_cli run uses, into a scratch spec.
 //
 // Usage:
 //   allocsim_lint [options] [script.events ...]
@@ -28,8 +29,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "analyze/LintReport.h"
-#include "analyze/SpecLint.h"
 #include "analyze/TraceLint.h"
+#include "core/MatrixRunner.h"
 #include "support/CommandLine.h"
 
 #include <fstream>
@@ -78,7 +79,8 @@ int main(int Argc, char **Argv) {
     LintInput Input;
     Input.Name = "--matrix";
     Input.Kind = "matrix-spec";
-    lintMatrixSpec(Cli.getString("matrix"), Input.Diags);
+    MatrixSpec Scratch;
+    parseMatrixSpec(Cli.getString("matrix"), Scratch, Input.Diags);
     Inputs.push_back(std::move(Input));
   }
 
