@@ -117,7 +117,7 @@ Addr Allocator::malloc(uint32_t Size) {
 
   assert((Ptr & 3) == 0 && "allocator returned misaligned object");
   assert(Heap.contains(Ptr, Size) && "allocator returned bad region");
-  [[maybe_unused]] bool Inserted = LiveObjects.emplace(Ptr, Size).second;
+  [[maybe_unused]] bool Inserted = LiveObjects.insert(Ptr, Size);
   assert(Inserted && "allocator returned an address twice");
   if (Shadow)
     Shadow->noteUserRange(*this, Ptr, Size);
@@ -130,8 +130,8 @@ Addr Allocator::malloc(uint32_t Size) {
 }
 
 void Allocator::free(Addr Ptr) {
-  auto It = LiveObjects.find(Ptr);
-  if (It == LiveObjects.end()) {
+  const uint32_t *Live = LiveObjects.find(Ptr);
+  if (!Live) {
     // Under HeapCheck the double/invalid free becomes a recorded violation
     // with a precise diagnostic (and the free is dropped, so the walk that
     // follows sees an uncorrupted heap); without it, it stays fatal.
@@ -139,10 +139,10 @@ void Allocator::free(Addr Ptr) {
       return;
     reportFatalError("free of unknown or already-freed address");
   }
-  uint32_t Size = It->second;
+  const uint32_t Size = *Live;
   Stats.LiveBytes -= Size;
   --Stats.LiveObjects;
-  LiveObjects.erase(It);
+  LiveObjects.erase(Ptr);
   ++Stats.FreeCalls;
   if (FreesProbe)
     FreesProbe->add();
@@ -153,10 +153,10 @@ void Allocator::free(Addr Ptr) {
 }
 
 uint32_t Allocator::objectSize(Addr Ptr) const {
-  auto It = LiveObjects.find(Ptr);
-  if (It == LiveObjects.end())
+  const uint32_t *Live = LiveObjects.find(Ptr);
+  if (!Live)
     reportFatalError("objectSize of unknown address");
-  return It->second;
+  return *Live;
 }
 
 std::unique_ptr<Allocator>

@@ -23,11 +23,11 @@
 #include "mem/SimHeap.h"
 #include "metrics/CostModel.h"
 #include "stats/Telemetry.h"
+#include "support/FlatMap.h"
 
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 
 namespace allocsim {
 
@@ -208,9 +208,11 @@ protected:
 
 private:
   AllocatorStats Stats;
-  /// Host-side shadow of live objects (requested sizes); used for stats and
-  /// to catch invalid/double frees. Not part of the simulation.
-  std::unordered_map<Addr, uint32_t> LiveObjects;
+  /// Host-side shadow of live objects (requested sizes by address); used
+  /// for stats and to catch invalid/double frees. Not part of the
+  /// simulation. One flat-table probe per malloc and two per free
+  /// (support/FlatMap.h); a hybrid's backend keeps its own.
+  FlatMap<uint32_t> LiveObjects;
   /// HeapCheck observer; null when checking is off.
   HeapStateObserver *Shadow = nullptr;
 

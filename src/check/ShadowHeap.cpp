@@ -5,6 +5,7 @@
 #include "alloc/Allocator.h"
 
 #include <algorithm>
+#include <cstring>
 #include <sstream>
 
 using namespace allocsim;
@@ -14,6 +15,31 @@ namespace {
 /// Word-rounded extent of a user range: allocators hand out word-aligned
 /// storage and the driver touches objects word by word.
 uint32_t roundToWords(uint32_t Size) { return (Size + 3) & ~3u; }
+
+/// True if all \p Bytes shadow bytes from \p First are UserLive, compared
+/// 8 (then 4) at a time.
+bool allUserLive(const ByteState *First, uint64_t Bytes) {
+  constexpr uint64_t Live8 =
+      0x0101010101010101ULL * static_cast<uint8_t>(ByteState::UserLive);
+  uint64_t I = 0;
+  for (; I + 8 <= Bytes; I += 8) {
+    uint64_t Chunk;
+    std::memcpy(&Chunk, First + I, 8);
+    if (Chunk != Live8)
+      return false;
+  }
+  if (I + 4 <= Bytes) {
+    uint32_t Chunk;
+    std::memcpy(&Chunk, First + I, 4);
+    if (Chunk != static_cast<uint32_t>(Live8))
+      return false;
+    I += 4;
+  }
+  for (; I != Bytes; ++I)
+    if (First[I] != ByteState::UserLive)
+      return false;
+  return true;
+}
 
 std::string hexAddr(Addr Address) {
   std::ostringstream Out;
@@ -63,12 +89,32 @@ bool ShadowHeap::rangeHas(Addr Address, uint32_t Size,
 }
 
 void ShadowHeap::setRange(Addr Address, uint32_t Size, ByteState State) {
-  uint32_t Span = syncToBreak();
-  for (uint32_t I = 0; I != Size; ++I) {
-    uint64_t Offset = uint64_t(Address) + I - Heap.base();
-    if (Offset < Span)
-      States[Offset] = State;
-  }
+  // The bytes of [Address, Address + Size) that lie inside the mirror.
+  const uint64_t Base = Heap.base();
+  const uint64_t Begin = std::max<uint64_t>(Address, Base);
+  const uint64_t End =
+      std::min<uint64_t>(uint64_t(Address) + Size, Base + syncToBreak());
+  if (Begin < End)
+    std::fill(States.begin() + (Begin - Base), States.begin() + (End - Base),
+              State);
+}
+
+bool ShadowHeap::findLiveByte(Addr Address, uint32_t Size,
+                              Addr &Found) const {
+  const uint64_t Base = Heap.base();
+  const uint64_t Begin = std::max<uint64_t>(Address, Base);
+  const uint64_t End =
+      std::min<uint64_t>(uint64_t(Address) + Size, Base + States.size());
+  if (Begin >= End)
+    return false;
+  const void *Hit = std::memchr(States.data() + (Begin - Base),
+                                static_cast<int>(ByteState::UserLive),
+                                End - Begin);
+  if (!Hit)
+    return false;
+  Found = static_cast<Addr>(
+      Base + (static_cast<const ByteState *>(Hit) - States.data()));
+  return true;
 }
 
 void ShadowHeap::reportViolation(ViolationKind Kind, std::string AllocName,
@@ -85,23 +131,38 @@ void ShadowHeap::reportViolation(ViolationKind Kind, std::string AllocName,
 }
 
 void ShadowHeap::accessBatch(const MemAccess *Batch, size_t Count) {
+  // The break cannot move while the bus delivers a batch.
+  const uint64_t MirrorBytes = syncToBreak();
+  const Addr Base = Heap.base();
   for (size_t Record = 0; Record != Count; ++Record) {
     const MemAccess &Access = Batch[Record];
     if (!Access.isSpan()) {
-      checkReference(Access);
+      // Other segments (stack/static) are outside the allocators' domain.
+      if (Access.Address < Base)
+        continue;
+      // Inside the break, allocator and tag reads are unconstrained and
+      // the application may touch live bytes: nothing to report or record.
+      const uint64_t Offset = uint64_t(Access.Address) - Base;
+      if (Offset + Access.Size <= MirrorBytes &&
+          (Access.Source == AccessSource::Application
+               ? allUserLive(States.data() + Offset, Access.Size)
+               : Access.Kind == AccessKind::Read))
+        continue;
+      checkReference(Access, MirrorBytes);
       continue;
     }
-    if (checkSpanFast(Access))
+    if (checkSpanFast(Access, MirrorBytes))
       continue;
     // Some byte is not in the state the fast check needs: take the words
     // one by one, so the violations come out exactly as per-word records
     // would produce them.
     for (uint32_t W = 0; W != Access.Words; ++W)
-      checkReference(Access.word(W));
+      checkReference(Access.word(W), MirrorBytes);
   }
 }
 
-bool ShadowHeap::checkSpanFast(const MemAccess &Span) {
+bool ShadowHeap::checkSpanFast(const MemAccess &Span,
+                               uint64_t MirrorBytes) const {
   const Addr Low = Span.Direction == SpanDirection::Ascending
                        ? Span.Address
                        : Span.lastWordAddress();
@@ -112,26 +173,23 @@ bool ShadowHeap::checkSpanFast(const MemAccess &Span) {
   if (Low < Heap.base())
     return false;
   const uint64_t Offset = uint64_t(Low) - Heap.base();
-  if (Offset + Bytes > syncToBreak())
+  if (Offset + Bytes > MirrorBytes)
     return false;
   // Only the driver emits spans, all of them the application's; any other
   // source takes the per-word path.
   if (Span.Source != AccessSource::Application)
     return false;
-  const ByteState *First = States.data() + Offset;
-  return std::all_of(First, First + Bytes, [](ByteState State) {
-    return State == ByteState::UserLive;
-  });
+  return allUserLive(States.data() + Offset, Bytes);
 }
 
-void ShadowHeap::checkReference(const MemAccess &Access) {
+void ShadowHeap::checkReference(const MemAccess &Access,
+                                uint64_t MirrorBytes) {
   // Other segments (stack/static) are outside the allocators' domain.
   if (Access.Address < Heap.base())
     return;
 
-  uint32_t Span = syncToBreak();
   uint64_t Offset = uint64_t(Access.Address) - Heap.base();
-  if (Offset + Access.Size > Span) {
+  if (Offset + Access.Size > MirrorBytes) {
     reportViolation(ViolationKind::OutOfSegment, BusAllocName,
                     Access.Address, Access.Source,
                     "reference past the segment break " +
@@ -182,31 +240,26 @@ void ShadowHeap::noteUserRange(const Allocator &Alloc, Addr Address,
                                uint32_t Size) {
   drainPending();
   uint32_t Extent = roundToWords(Size);
-  auto Existing = LiveRanges.find(Address);
-  if (Existing != LiveRanges.end()) {
+  if (const uint32_t *Existing = LiveRanges.find(Address)) {
     // Nested delegation (QuickFit/Custom -> GNU G++ backend) annotates the
     // same object twice; the identical range is idempotent.
-    if (roundToWords(Existing->second) == Extent)
+    if (roundToWords(*Existing) == Extent)
       return;
     reportViolation(ViolationKind::OverlappingAlloc, Alloc.name(), Address,
                     AccessSource::Allocator,
                     "allocation of " + std::to_string(Size) +
                         " bytes at an address already live with " +
-                        std::to_string(Existing->second) + " bytes");
+                        std::to_string(*Existing) + " bytes");
     return;
   }
-  for (uint32_t I = 0; I != Extent; ++I) {
-    if (byteState(Address + I) == ByteState::UserLive) {
-      reportViolation(ViolationKind::OverlappingAlloc, Alloc.name(),
-                      Address + I, AccessSource::Allocator,
-                      "new object [" + hexAddr(Address) + ", " +
-                          hexAddr(Address + Extent) +
-                          ") overlaps a live object");
-      break;
-    }
-  }
+  if (Addr Live; findLiveByte(Address, Extent, Live))
+    reportViolation(ViolationKind::OverlappingAlloc, Alloc.name(), Live,
+                    AccessSource::Allocator,
+                    "new object [" + hexAddr(Address) + ", " +
+                        hexAddr(Address + Extent) +
+                        ") overlaps a live object");
   setRange(Address, Extent, ByteState::UserLive);
-  LiveRanges.emplace(Address, Size);
+  LiveRanges.insert(Address, Size);
   FreedBases.erase(Address);
 }
 
@@ -216,7 +269,7 @@ void ShadowHeap::noteFreedRange(const Allocator &Alloc, Addr Address,
   (void)Alloc;
   // The nested backend re-announces frees the outer allocator already
   // processed; only the first annotation transitions the range.
-  if (LiveRanges.erase(Address) == 0)
+  if (!LiveRanges.erase(Address))
     return;
   setRange(Address, roundToWords(Size), ByteState::UserFreed);
   FreedBases.insert(Address);
@@ -225,20 +278,16 @@ void ShadowHeap::noteFreedRange(const Allocator &Alloc, Addr Address,
 void ShadowHeap::noteMetadataRange(const Allocator &Alloc, Addr Address,
                                    uint32_t Size) {
   drainPending();
-  for (uint32_t I = 0; I != Size; ++I) {
-    if (byteState(Address + I) == ByteState::UserLive) {
-      reportViolation(ViolationKind::MetadataUserOverlap, Alloc.name(),
-                      Address + I, AccessSource::Allocator,
-                      "metadata annotation over live user data");
-      break;
-    }
-  }
+  if (Addr Live; findLiveByte(Address, Size, Live))
+    reportViolation(ViolationKind::MetadataUserOverlap, Alloc.name(), Live,
+                    AccessSource::Allocator,
+                    "metadata annotation over live user data");
   setRange(Address, Size, ByteState::Metadata);
 }
 
 bool ShadowHeap::noteInvalidFree(const Allocator &Alloc, Addr Address) {
   drainPending();
-  if (FreedBases.count(Address))
+  if (FreedBases.contains(Address))
     reportViolation(ViolationKind::DoubleFree, Alloc.name(), Address,
                     AccessSource::Application,
                     "object was already freed and not reallocated");

@@ -31,9 +31,8 @@
 #include "check/HeapStateObserver.h"
 #include "check/Violation.h"
 #include "mem/SimHeap.h"
+#include "support/FlatMap.h"
 
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 namespace allocsim {
@@ -58,10 +57,16 @@ public:
   ShadowHeap(const SimHeap &Heap, ViolationLog &Log);
 
   /// AccessSink: validates each bus reference in order, folding it into
-  /// the mirror (allocator writes become Metadata). A span's byte range is
-  /// checked in one pass; only a span that reaches a byte the pass cannot
-  /// accept is re-checked word by word, so the violations are exactly those
-  /// of the span's single references.
+  /// the mirror (allocator writes become Metadata). The mirror is synced to
+  /// the break once per batch, and the batch loop itself accepts the
+  /// references that cannot be violations: anything below the heap, an
+  /// allocator or tag read inside the break, and an application reference
+  /// inside the break whose bytes are all UserLive. Every other single
+  /// reference — stores, non-live bytes, anything reaching past the break —
+  /// goes through checkReference. A span's byte range is checked in one
+  /// pass, 8 shadow bytes at a time; only a span that reaches a byte the
+  /// pass cannot accept is re-checked word by word, so the violations are
+  /// exactly those of the span's single references.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
   bool takesSpans() const override { return true; }
 
@@ -105,31 +110,37 @@ private:
       FlushBus->flush();
   }
 
-  /// Validates one single reference and folds it into the mirror.
-  void checkReference(const MemAccess &Access);
+  /// Validates one single reference and folds it into the mirror, whose
+  /// extent (synced to the break) is \p MirrorBytes.
+  void checkReference(const MemAccess &Access, uint64_t MirrorBytes);
   /// Validates a whole span in one pass when that is exact: returns true
   /// (the span handled) if it lies outside the heap, or is an application
   /// span inside the break over live bytes only; false, with the mirror
   /// untouched, if the span needs the per-word check.
-  bool checkSpanFast(const MemAccess &Span);
+  bool checkSpanFast(const MemAccess &Span, uint64_t MirrorBytes) const;
   void reportViolation(ViolationKind Kind, std::string AllocName,
                        Addr Address, AccessSource Source,
                        std::string Detail);
   void setRange(Addr Address, uint32_t Size, ByteState State);
+  /// Finds the first byte of [Address, Address + Size) the mirror holds
+  /// UserLive; false if there is none.
+  bool findLiveByte(Addr Address, uint32_t Size, Addr &Found) const;
   /// Grows the mirror to the current break; returns the mirror span.
   uint32_t syncToBreak();
 
   const SimHeap &Heap;
   ViolationLog &Log;
   std::vector<ByteState> States;
-  /// Live ranges by base address, to keep nested-delegation annotations
-  /// (QuickFit/Custom forwarding to their GNU G++ backend) idempotent and
-  /// to distinguish re-annotation from genuine overlap.
-  std::unordered_map<Addr, uint32_t> LiveRanges;
+  /// Live ranges (requested sizes) by base address, to keep
+  /// nested-delegation annotations (QuickFit/Custom forwarding to their GNU
+  /// G++ backend) idempotent and to distinguish re-annotation from genuine
+  /// overlap. Flat tables (support/FlatMap.h), like the driver's and the
+  /// allocators'.
+  FlatMap<uint32_t> LiveRanges;
   /// Base addresses freed and not since reallocated; distinguishes a double
   /// free from a free of a never-allocated address even after the allocator
   /// reuses the object's first words for links.
-  std::unordered_set<Addr> FreedBases;
+  FlatMap<NoValue> FreedBases;
   std::string BusAllocName = "?";
   uint64_t OpIndex = 0;
   /// Drained before every state transition; null when the shadow is used

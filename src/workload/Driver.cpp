@@ -72,16 +72,14 @@ void Driver::execute(const AllocEvent &Event) {
     if (Address == 0) {
       // Simulated heap exhaustion: remember the id so the stream's later
       // touches/frees of this object degrade to no-ops instead of faulting.
-      assert(Objects.find(Event.Id) == Objects.end() &&
+      assert(!Objects.contains(Event.Id) &&
              "duplicate object id in event stream");
       FailedIds.insert(Event.Id);
       ++DroppedEvents;
     } else {
-      [[maybe_unused]] bool Inserted =
-          Objects
-              .emplace(Event.Id, ObjectInfo{Address, (Event.Amount + 3) / 4,
-                                            EventOrdinal})
-              .second;
+      [[maybe_unused]] bool Inserted = Objects.insert(
+          Event.Id,
+          ObjectInfo{Address, (Event.Amount + 3) / 4, EventOrdinal});
       assert(Inserted && "duplicate object id in event stream");
     }
     if (Check) {
@@ -94,18 +92,18 @@ void Driver::execute(const AllocEvent &Event) {
     break;
   }
   case AllocEventKind::Free: {
-    auto It = Objects.find(Event.Id);
-    if (It == Objects.end()) {
-      if (FailedIds.erase(Event.Id) != 0) {
+    const ObjectInfo *Object = Objects.find(Event.Id);
+    if (!Object) {
+      if (FailedIds.erase(Event.Id)) {
         ++DroppedEvents;
         break;
       }
       reportFatalError("event stream frees unknown object");
     }
     if (LifetimeHist)
-      LifetimeHist->record(EventOrdinal - It->second.BirthOrdinal);
-    Alloc.free(It->second.Address);
-    Objects.erase(It);
+      LifetimeHist->record(EventOrdinal - Object->BirthOrdinal);
+    Alloc.free(Object->Address);
+    Objects.erase(Event.Id);
     if (Check) {
       Bus.flush();
       Check->onOperation();
@@ -113,16 +111,15 @@ void Driver::execute(const AllocEvent &Event) {
     break;
   }
   case AllocEventKind::Touch: {
-    auto It = Objects.find(Event.Id);
-    if (It == Objects.end()) {
-      if (FailedIds.count(Event.Id) != 0) {
+    const ObjectInfo *Object = Objects.find(Event.Id);
+    if (!Object) {
+      if (FailedIds.contains(Event.Id)) {
         ++DroppedEvents;
         break;
       }
       reportFatalError("event stream touches unknown object");
     }
-    touchObject(It->second.Address, It->second.Words, Event.Amount,
-                Event.Access);
+    touchObject(Object->Address, Object->Words, Event.Amount, Event.Access);
     break;
   }
   case AllocEventKind::StackTouch:
@@ -134,10 +131,10 @@ void Driver::execute(const AllocEvent &Event) {
 }
 
 Addr Driver::addressOf(uint32_t Id) const {
-  auto It = Objects.find(Id);
-  if (It == Objects.end())
+  const ObjectInfo *Object = Objects.find(Id);
+  if (!Object)
     reportFatalError("addressOf: unknown object id");
-  return It->second.Address;
+  return Object->Address;
 }
 
 void Driver::touchObject(Addr Address, uint32_t ObjectWords, uint32_t Words,

@@ -29,11 +29,10 @@
 
 #include "alloc/Allocator.h"
 #include "stats/Telemetry.h"
+#include "support/FlatMap.h"
 #include "trace/AllocEvents.h"
 
 #include <array>
-#include <unordered_map>
-#include <unordered_set>
 
 namespace allocsim {
 
@@ -113,7 +112,10 @@ private:
   uint64_t InstrFrac = 0;
   uint64_t FracDebt = 0;
 
-  std::unordered_map<uint32_t, ObjectInfo> Objects;
+  /// Live objects by id (support/FlatMap.h): malloc inserts, touch finds,
+  /// free finds and erases. Any uint32_t is an id, and an id may be
+  /// malloc'd again after its free.
+  FlatMap<ObjectInfo> Objects;
   uint64_t AppRefs = 0;
   /// 1-based ordinal of the event being executed (the object-lifetime
   /// clock).
@@ -128,7 +130,7 @@ private:
   /// Graceful OOM degradation: ids whose malloc returned null. Their later
   /// touches and frees are dropped (a real program would have branched on
   /// the null), while genuinely unknown ids stay fatal stream errors.
-  std::unordered_set<uint32_t> FailedIds;
+  FlatMap<NoValue> FailedIds;
   uint64_t DroppedEvents = 0;
 
   /// Telemetry probes; null when telemetry is off. OpInstrHists is indexed

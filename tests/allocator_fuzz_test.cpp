@@ -22,6 +22,7 @@
 
 #include "cache/CacheSim.h"
 #include "check/HeapCheck.h"
+#include "core/Lab.h"
 #include "support/Rng.h"
 #include "trace/AllocEvents.h"
 #include "vm/PageSim.h"
@@ -33,6 +34,9 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -402,4 +406,207 @@ TEST(AllocatorFuzzTest, ModernBackendsReplayCommittedCorpus) {
       EXPECT_EQ(Batched, Scalar);
     }
   }
+}
+
+//===----------------------------------------------------------------------===//
+// Mutated event scripts: diagnose or run clean
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The committed corpus as text lines, in sorted file order.
+std::vector<std::vector<std::string>> loadCorpusLines() {
+  std::vector<std::pair<std::string, std::vector<std::string>>> Files;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(ALLOCSIM_CORPUS_DIR)) {
+    if (Entry.path().extension() != ".events")
+      continue;
+    std::ifstream In(Entry.path());
+    std::vector<std::string> Lines;
+    for (std::string Line; std::getline(In, Line);)
+      Lines.push_back(Line);
+    Files.emplace_back(Entry.path().filename().string(), std::move(Lines));
+  }
+  std::sort(Files.begin(), Files.end());
+  std::vector<std::vector<std::string>> Corpus;
+  for (auto &File : Files)
+    Corpus.push_back(std::move(File.second));
+  return Corpus;
+}
+
+/// The whitespace-separated fields of \p Line.
+std::vector<std::string> fieldsOf(const std::string &Line) {
+  std::istringstream In(Line);
+  return {std::istream_iterator<std::string>(In),
+          std::istream_iterator<std::string>()};
+}
+
+/// Renames object \p From to \p To on every record that names it.
+void renameObject(std::vector<std::string> &Lines, const std::string &From,
+                  const std::string &To) {
+  for (std::string &Line : Lines) {
+    std::vector<std::string> Fields = fieldsOf(Line);
+    if (Fields.size() < 2 || Fields[0] == "s" || Fields[1] != From)
+      continue;
+    Fields[1] = To;
+    Line.clear();
+    for (const std::string &Field : Fields)
+      Line += (Line.empty() ? "" : " ") + Field;
+  }
+}
+
+/// One random edit of a script: a byte replaced or inserted, a line
+/// dropped, duplicated or moved, a number swapped for a boundary value, an
+/// object renamed to id 0 or 2^32-1, or an object renamed to one freed
+/// before its malloc, so its id is malloc'd again.
+void mutateScript(std::vector<std::string> &Lines, Rng &R) {
+  static const char Bytes[] = {'0', '1', '9', 'm', 'f', 't', 's', 'r',
+                               'w', ' ', '-', 'x', '\t', '\0'};
+  static const char *const Numbers[] = {
+      "0",     "1",          "3",          "4",          "16383",
+      "65536", "65537",      "2147483648", "4294967295", "4294967296",
+      "-1",    "+7",         "007",        "99999999999999999999"};
+  if (Lines.empty())
+    return;
+  auto Pick = [&] { return size_t(R.nextBelow(Lines.size())); };
+  switch (R.nextBelow(8)) {
+  case 0: {
+    std::string &Line = Lines[Pick()];
+    if (!Line.empty())
+      Line[R.nextBelow(Line.size())] = Bytes[R.nextBelow(std::size(Bytes))];
+    break;
+  }
+  case 1: {
+    std::string &Line = Lines[Pick()];
+    Line.insert(R.nextBelow(Line.size() + 1), 1,
+                Bytes[R.nextBelow(std::size(Bytes))]);
+    break;
+  }
+  case 2:
+    Lines.erase(Lines.begin() + Pick());
+    break;
+  case 3:
+    Lines.insert(Lines.begin() + Pick(), Lines[Pick()]);
+    break;
+  case 4:
+    std::swap(Lines[Pick()], Lines[Pick()]);
+    break;
+  case 5: {
+    std::string &Line = Lines[Pick()];
+    size_t Start = Line.find_first_of("0123456789",
+                                      R.nextBelow(Line.size() + 1));
+    if (Start == std::string::npos)
+      break;
+    size_t End = Line.find_first_not_of("0123456789", Start);
+    Line.replace(Start, End == std::string::npos ? End : End - Start,
+                 Numbers[R.nextBelow(std::size(Numbers))]);
+    break;
+  }
+  case 6: {
+    std::vector<std::string> Fields = fieldsOf(Lines[Pick()]);
+    if (Fields.size() >= 2 && Fields[0] == "m")
+      renameObject(Lines, Fields[1], R.nextBelow(2) ? "0" : "4294967295");
+    break;
+  }
+  default: {
+    // An object malloc'd after some free takes the freed object's id.
+    const size_t FreeAt = Pick();
+    std::vector<std::string> Freed = fieldsOf(Lines[FreeAt]);
+    if (Freed.size() != 2 || Freed[0] != "f")
+      break;
+    for (size_t I = FreeAt + 1; I != Lines.size(); ++I) {
+      std::vector<std::string> Fields = fieldsOf(Lines[I]);
+      if (Fields.size() >= 2 && Fields[0] == "m" && Fields[1] != Freed[1]) {
+        renameObject(Lines, Fields[1], Freed[1]);
+        break;
+      }
+    }
+    break;
+  }
+  }
+}
+
+} // namespace
+
+TEST(AllocEventsFuzzTest, MutatedScriptsDiagnoseOrRunClean) {
+  // Fixed seed and budget (400 scripts): every run checks the same ones. The parser
+  // and validator must raise an error or accept; an accepted script with
+  // small requests must run clean through the flat live-object tables of
+  // the driver, the allocators (QuickFit nests a second one) and the
+  // shadow, whatever its ids.
+  const std::vector<std::vector<std::string>> Corpus = loadCorpusLines();
+  ASSERT_GE(Corpus.size(), 6u) << "corpus files missing from "
+                               << ALLOCSIM_CORPUS_DIR;
+  Rng R(0xe7e47f22);
+  size_t Diagnosed = 0, Ran = 0;
+  bool RanIdZero = false, RanIdMax = false, RanReusedId = false;
+  for (unsigned Iter = 0; Iter != 400; ++Iter) {
+    std::vector<std::string> Lines = Corpus[R.nextBelow(Corpus.size())];
+    for (uint64_t Edits = 1 + R.nextBelow(4); Edits != 0; --Edits)
+      mutateScript(Lines, R);
+    std::string Text;
+    for (const std::string &Line : Lines)
+      Text += Line + "\n";
+
+    std::istringstream In(Text);
+    DiagEngine Diags;
+    std::vector<LocatedAllocEvent> Located = parseAllocEvents(In, Diags);
+    std::vector<AllocEvent> Events;
+    std::vector<SourceLoc> Locs;
+    for (const LocatedAllocEvent &Record : Located) {
+      Events.push_back(Record.Event);
+      Locs.push_back(Record.Loc);
+    }
+    if (Diags.errorCount() == 0)
+      validateAllocEvents(Events, Diags, &Locs);
+    if (Diags.errorCount() != 0) {
+      ++Diagnosed;
+      continue;
+    }
+
+    // Accepted. Run it if its requests are small (a touch's words are
+    // references, so they are bounded too).
+    uint64_t Touched = 0;
+    bool Small = true;
+    std::set<uint32_t> Malloced;
+    bool Reused = false;
+    for (const AllocEvent &Event : Events) {
+      if (Event.Kind == AllocEventKind::Malloc) {
+        Small &= Event.Amount <= 64 * 1024;
+        Reused |= !Malloced.insert(Event.Id).second;
+      } else if (Event.Kind != AllocEventKind::Free) {
+        Small &= Event.Amount <= 16 * 1024;
+        Touched += Event.Amount;
+      }
+    }
+    if (!Small)
+      continue;
+    ++Ran;
+    RanIdZero |= Malloced.count(0) != 0;
+    RanIdMax |= Malloced.count(0xFFFFFFFFu) != 0;
+    RanReusedId |= Reused;
+    for (AllocatorKind Kind : {AllocatorKind::FirstFit, AllocatorKind::QuickFit}) {
+      ExperimentConfig Config;
+      Config.Allocator = Kind;
+      Config.Caches = {CacheConfig{}};
+      Config.Check.Level = CheckLevel::Fast;
+      Config.Check.AbortOnViolation = false;
+      const RunResult Result = runScriptExperiment(Config, Events);
+      ASSERT_EQ(Result.CheckViolations, 0u)
+          << allocatorKindName(Kind) << ", script:\n"
+          << Text << "\nfirst report: "
+          << (Result.CheckReports.empty() ? std::string("(none)")
+                                          : Result.CheckReports.front());
+      ASSERT_EQ(Result.AppRefs, Touched) << allocatorKindName(Kind);
+      ASSERT_EQ(Result.TotalRefs,
+                Result.AppRefs + Result.AllocRefs + Result.TagRefs)
+          << allocatorKindName(Kind);
+    }
+  }
+  // The budget reaches both outcomes and the ids the tables must take.
+  EXPECT_GT(Diagnosed, 100u);
+  EXPECT_GT(Ran, 40u);
+  EXPECT_TRUE(RanIdZero);
+  EXPECT_TRUE(RanIdMax);
+  EXPECT_TRUE(RanReusedId);
 }

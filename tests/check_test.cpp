@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 using namespace allocsim;
 
 namespace {
@@ -408,6 +410,112 @@ TEST(CheckBusTest, ShadowSpansMatchPerWordExpansion) {
     EXPECT_NE(std::find(Spans.Kinds.begin(), Spans.Kinds.end(), Kind),
               Spans.Kinds.end())
         << "scenario lost its " << static_cast<int>(Kind) << " case";
+}
+
+namespace {
+
+/// Where a single reference lies relative to the heap segment's edges.
+enum class Edge { EndsAtBreak, Straddles, PastBreak, FromBelowBase };
+
+/// First byte of a \p Size-byte reference at \p Where, or nothing when a
+/// reference of that size cannot lie there (a byte cannot straddle).
+std::optional<Addr> edgeAddress(Edge Where, uint8_t Size, Addr Base,
+                                Addr Break) {
+  switch (Where) {
+  case Edge::EndsAtBreak:
+    return Break - Size;
+  case Edge::Straddles:
+    return Size == 1 ? std::nullopt : std::optional<Addr>(Break - Size / 2);
+  case Edge::PastBreak:
+    return Break + 4;
+  case Edge::FromBelowBase:
+    return Size == 1 ? std::nullopt : std::optional<Addr>(Base - Size / 2);
+  }
+  return std::nullopt;
+}
+
+} // namespace
+
+TEST(CheckBusTest, SingleReferencesAtTheBreak) {
+  // Application, allocator and tag reads and writes of 1, 2, 4 and 8
+  // bytes at the segment's edges, as single references: the shadow decides
+  // most of them without checkReference, so this pins that it still
+  // reports exactly what the per-reference check reports.
+  CheckHarness H;
+  FirstFit Alloc(H.Heap, H.Cost);
+  H.Check.attachAllocator(Alloc);
+  // A fresh tail whose last 32 bytes the shadow holds live: a reference
+  // ending at the break is legal for the application, a store there by the
+  // allocator is not, and one byte further is past the segment.
+  H.Heap.sbrk(64);
+  const Addr Base = H.Heap.base();
+  const Addr Break = H.Heap.brk();
+  H.Check.shadow().noteUserRange(Alloc, Break - 32, 32);
+
+  for (AccessSource Source : {AccessSource::Application,
+                              AccessSource::Allocator,
+                              AccessSource::TagEmulation})
+    for (AccessKind Kind : {AccessKind::Read, AccessKind::Write})
+      for (uint8_t Size : {1, 2, 4, 8})
+        for (Edge Where : {Edge::EndsAtBreak, Edge::Straddles,
+                           Edge::PastBreak, Edge::FromBelowBase})
+          if (std::optional<Addr> At = edgeAddress(Where, Size, Base, Break))
+            H.Bus.emit(*At, Size, Kind, Source);
+  H.Bus.flush();
+
+  struct Expected {
+    ViolationKind Kind;
+    Addr Address;
+    AccessSource Source;
+  };
+  constexpr ViolationKind Out = ViolationKind::OutOfSegment;
+  constexpr ViolationKind Overlap = ViolationKind::MetadataUserOverlap;
+  constexpr AccessSource App = AccessSource::Application;
+  constexpr AccessSource Allocator = AccessSource::Allocator;
+  constexpr AccessSource Tag = AccessSource::TagEmulation;
+  const Expected Want[] = {
+      // Application reads, then writes, of 1, 2, 4 and 8 bytes: straddling
+      // and past the break, never ending at it or starting below the heap.
+      {Out, Break + 4, App},
+      {Out, Break - 1, App}, {Out, Break + 4, App},
+      {Out, Break - 2, App}, {Out, Break + 4, App},
+      {Out, Break - 4, App}, {Out, Break + 4, App},
+      {Out, Break + 4, App},
+      {Out, Break - 1, App}, {Out, Break + 4, App},
+      {Out, Break - 2, App}, {Out, Break + 4, App},
+      {Out, Break - 4, App}, {Out, Break + 4, App},
+      // Allocator reads, as the application's.
+      {Out, Break + 4, Allocator},
+      {Out, Break - 1, Allocator}, {Out, Break + 4, Allocator},
+      {Out, Break - 2, Allocator}, {Out, Break + 4, Allocator},
+      {Out, Break - 4, Allocator}, {Out, Break + 4, Allocator},
+      // Allocator writes: one ending at the break stores into live data
+      // (and turns it into metadata).
+      {Overlap, Break - 1, Allocator}, {Out, Break + 4, Allocator},
+      {Overlap, Break - 2, Allocator}, {Out, Break - 1, Allocator},
+      {Out, Break + 4, Allocator},
+      {Overlap, Break - 4, Allocator}, {Out, Break - 2, Allocator},
+      {Out, Break + 4, Allocator},
+      {Overlap, Break - 8, Allocator}, {Out, Break - 4, Allocator},
+      {Out, Break + 4, Allocator},
+      // Tag reads, then writes: those ending at the break now meet
+      // metadata, which tag stores may overwrite.
+      {Out, Break + 4, Tag},
+      {Out, Break - 1, Tag}, {Out, Break + 4, Tag},
+      {Out, Break - 2, Tag}, {Out, Break + 4, Tag},
+      {Out, Break - 4, Tag}, {Out, Break + 4, Tag},
+      {Out, Break + 4, Tag},
+      {Out, Break - 1, Tag}, {Out, Break + 4, Tag},
+      {Out, Break - 2, Tag}, {Out, Break + 4, Tag},
+      {Out, Break - 4, Tag}, {Out, Break + 4, Tag},
+  };
+  const std::vector<CheckViolation> &Got = H.Check.violations();
+  ASSERT_EQ(Got.size(), std::size(Want));
+  for (size_t I = 0; I != Got.size(); ++I) {
+    EXPECT_EQ(Got[I].Kind, Want[I].Kind) << "violation " << I;
+    EXPECT_EQ(Got[I].Address, Want[I].Address) << "violation " << I;
+    EXPECT_EQ(Got[I].Source, Want[I].Source) << "violation " << I;
+  }
 }
 
 //===----------------------------------------------------------------------===//

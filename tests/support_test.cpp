@@ -1,6 +1,7 @@
 //===- tests/support_test.cpp - Support library tests ---------------------===//
 
 #include "support/CommandLine.h"
+#include "support/FlatMap.h"
 #include "support/Histogram.h"
 #include "support/Rng.h"
 #include "support/Table.h"
@@ -9,6 +10,7 @@
 
 #include <cmath>
 #include <sstream>
+#include <unordered_map>
 
 using namespace allocsim;
 
@@ -282,4 +284,162 @@ TEST(CommandLineTest, HelpReturnsFalse) {
   CommandLine Cli;
   const char *Argv[] = {"prog", "--help"};
   EXPECT_FALSE(Cli.parse(2, Argv));
+}
+
+//===----------------------------------------------------------------------===//
+// FlatMap
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A FlatMap driven in lockstep with the std::unordered_map it must agree
+/// with. Each method returns "" or the first disagreement.
+struct FlatMapDifferential {
+  FlatMap<uint32_t> Flat;
+  std::unordered_map<uint32_t, uint32_t> Oracle;
+
+  std::string lookup(uint32_t Key) const {
+    const uint32_t *Value = Flat.find(Key);
+    auto It = Oracle.find(Key);
+    if ((Value != nullptr) != (It != Oracle.end()) ||
+        Flat.contains(Key) != (It != Oracle.end()))
+      return "presence of key " + std::to_string(Key) + " differs";
+    if (Value && *Value != It->second)
+      return "value of key " + std::to_string(Key) + " differs";
+    return "";
+  }
+
+  std::string insert(uint32_t Key, uint32_t Value) {
+    if (Flat.insert(Key, Value) != Oracle.emplace(Key, Value).second)
+      return "insert of key " + std::to_string(Key) + " differs";
+    return "";
+  }
+
+  std::string erase(uint32_t Key) {
+    if (Flat.erase(Key) != (Oracle.erase(Key) != 0))
+      return "erase of key " + std::to_string(Key) + " differs";
+    return "";
+  }
+
+  /// Size, load and the lookups of \p Keys.
+  std::string agreeOn(const std::vector<uint32_t> &Keys) const {
+    if (Flat.size() != Oracle.size())
+      return "size " + std::to_string(Flat.size()) + " vs " +
+             std::to_string(Oracle.size());
+    const size_t Slots = Flat.slotCount();
+    if ((Slots & (Slots - 1)) != 0 || 2 * Flat.size() > Slots)
+      return "table of " + std::to_string(Slots) + " slots holds " +
+             std::to_string(Flat.size());
+    for (uint32_t Key : Keys)
+      if (std::string Why = lookup(Key); !Why.empty())
+        return Why;
+    return "";
+  }
+
+  /// One random insert, erase or find of a key drawn from \p Pool, then
+  /// the size and the lookups of the key, of 0 and 0xFFFFFFFF, and of all
+  /// of \p Pool if it is small or 8 random pool keys if not.
+  std::string step(const std::vector<uint32_t> &Pool, unsigned InsertPercent,
+                   Rng &R) {
+    const uint32_t Key = Pool[R.nextBelow(Pool.size())];
+    const uint64_t Op = R.nextBelow(100);
+    std::string Why;
+    if (Op < InsertPercent)
+      Why = insert(Key, static_cast<uint32_t>(R.next()));
+    else if (Op < 95)
+      Why = erase(Key);
+    else
+      Why = lookup(Key);
+    if (!Why.empty())
+      return Why;
+    std::vector<uint32_t> Check = {Key, 0u, 0xFFFFFFFFu};
+    if (Pool.size() <= 128)
+      Check.insert(Check.end(), Pool.begin(), Pool.end());
+    else
+      for (unsigned I = 0; I != 8; ++I)
+        Check.push_back(Pool[R.nextBelow(Pool.size())]);
+    return agreeOn(Check);
+  }
+};
+
+} // namespace
+
+TEST(FlatMapTest, MatchesUnorderedMap) {
+  // Fixed seed and budget: 110000 random operations in three key regimes,
+  // each checked against std::unordered_map after it runs.
+  Rng R(0xf1a7'3a95);
+  FlatMapDifferential M;
+  const std::vector<uint32_t> Edges = {0u, 0xFFFFFFFFu};
+  ASSERT_EQ(M.Flat.slotCount(), 0u);
+  ASSERT_EQ(M.agreeOn(Edges), "") << "empty table";
+  ASSERT_EQ(M.erase(0), "") << "erase from an empty table";
+
+  // Growth from empty to the first table.
+  ASSERT_EQ(M.insert(0xFFFFFFFFu, 7), "");
+  ASSERT_EQ(M.Flat.slotCount(), FlatMap<uint32_t>::MinSlots);
+  ASSERT_EQ(M.erase(0xFFFFFFFFu), "");
+  ASSERT_EQ(M.agreeOn(Edges), "");
+
+  // Keys homed at the first table's last two slots and its first, so probe
+  // runs wrap around the end and erases shift entries back across it.
+  const size_t Slots = FlatMap<uint32_t>::MinSlots;
+  std::vector<uint32_t> Last, First, Penultimate;
+  for (uint32_t Key = 1; Last.size() < 3 || First.size() < 2 ||
+                         Penultimate.size() < 1;
+       ++Key) {
+    const size_t Home = FlatMap<uint32_t>::homeSlot(Key, Slots);
+    if (Home == Slots - 1 && Last.size() < 3)
+      Last.push_back(Key);
+    else if (Home == 0 && First.size() < 2)
+      First.push_back(Key);
+    else if (Home == Slots - 2 && Penultimate.size() < 1)
+      Penultimate.push_back(Key);
+  }
+  // Three keys share the last slot and fill slots 15, 0 and 1; a key
+  // homed at 0 lands at 2. Erasing the key at slot 15 must shift each of
+  // the others back one slot, across the wrap-around.
+  std::vector<uint32_t> Wrap = {Last[0], Last[1], Last[2], First[0]};
+  for (uint32_t Key : Wrap)
+    ASSERT_EQ(M.insert(Key, Key ^ 0x5a5a5a5a), "");
+  ASSERT_EQ(M.erase(Last[0]), "");
+  ASSERT_EQ(M.agreeOn(Wrap), "") << "backward shift across the wrap-around";
+  ASSERT_EQ(M.erase(Last[1]), "");
+  ASSERT_EQ(M.agreeOn(Wrap), "");
+  ASSERT_EQ(M.erase(Last[2]), "");
+  ASSERT_EQ(M.erase(First[0]), "");
+  ASSERT_EQ(M.agreeOn(Wrap), "");
+  ASSERT_EQ(M.Flat.size(), 0u);
+
+  // Eight keys at most, so the table stays at 16 slots: random operations
+  // on a crowded run around the wrap-around, 0 and 0xFFFFFFFF included.
+  std::vector<uint32_t> Crowded = {Last[0],  Last[1],        Last[2],
+                                   First[0], First[1],       Penultimate[0],
+                                   0u,       0xFFFFFFFFu};
+  for (unsigned I = 0; I != 20000; ++I) {
+    ASSERT_EQ(M.step(Crowded, 50, R), "") << "crowded op " << I;
+    ASSERT_EQ(M.Flat.slotCount(), Slots) << "crowded op " << I;
+  }
+
+  // Small keys: dense ids, the driver's case.
+  std::vector<uint32_t> Small = {0xFFFFFFFFu};
+  for (uint32_t Key = 0; Key != 64; ++Key)
+    Small.push_back(Key);
+  for (unsigned I = 0; I != 30000; ++I)
+    ASSERT_EQ(M.step(Small, 50, R), "") << "small-key op " << I;
+
+  // Full-range keys and word-aligned heap addresses, grown to a few
+  // thousand entries and drained again, twice.
+  std::vector<uint32_t> Wide = Edges;
+  for (unsigned I = 0; I != 3000; ++I)
+    Wide.push_back(static_cast<uint32_t>(R.next()));
+  for (uint32_t I = 0; I != 3000; ++I)
+    Wide.push_back(0x1000'0000u + 8 * I);
+  for (unsigned Round = 0; Round != 2; ++Round) {
+    for (unsigned I = 0; I != 15000; ++I)
+      ASSERT_EQ(M.step(Wide, 75, R), "") << "growing op " << I;
+    EXPECT_GT(M.Flat.size(), 2000u);
+    for (unsigned I = 0; I != 15000; ++I)
+      ASSERT_EQ(M.step(Wide, 15, R), "") << "draining op " << I;
+    ASSERT_EQ(M.agreeOn(Wide), "") << "after round " << Round;
+  }
 }
