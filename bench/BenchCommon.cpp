@@ -3,6 +3,7 @@
 #include "BenchCommon.h"
 
 #include "support/Error.h"
+#include "trace/RefTrace.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -80,6 +81,15 @@ ExperimentConfig allocsim::baseConfig(WorkloadId Workload,
   Config.Engine.Seed = Options.Seed;
   Config.Telemetry = Options.Telemetry;
   return Config;
+}
+
+std::vector<MemAccess>
+allocsim::captureGsSmallStream(const BenchOptions &Options) {
+  ExperimentConfig Config = baseConfig(WorkloadId::GsSmall, Options);
+  Config.Allocator = AllocatorKind::FirstFit;
+  RecordTap Tap;
+  runExperiment(Config, nullptr, &Tap);
+  return Tap.takeRecords();
 }
 
 std::string allocsim::formatRate(double Value) {

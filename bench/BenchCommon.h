@@ -73,6 +73,11 @@ void renderTable(const Table &Out, const BenchOptions &Options,
 /// common options (no caches or paging attached).
 ExperimentConfig baseConfig(WorkloadId Workload, const BenchOptions &Options);
 
+/// Captures the record stream of gs-small under FirstFit with the common
+/// options, the stream the two gate benches replay: runExperiment with a
+/// RecordTap on the bus, so the driver's spans arrive as it emits them.
+std::vector<MemAccess> captureGsSmallStream(const BenchOptions &Options);
+
 /// Formats a fault rate the way the paper's log-scale figures label it.
 std::string formatRate(double Value);
 

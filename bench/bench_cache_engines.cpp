@@ -43,18 +43,15 @@
 #include "mem/AccessBatch.h"
 #include "support/Error.h"
 #include "trace/RefTrace.h"
-#include "workload/Driver.h"
 
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <memory>
 #include <vector>
 
 using namespace allocsim;
 
 namespace {
-
 
 /// One sweep shape under test.
 struct EngineConfig {
@@ -72,29 +69,6 @@ struct Measurement {
     return BankRefsPerSec > 0 ? AutoRefsPerSec / BankRefsPerSec : 0;
   }
 };
-
-/// Captures the gs-small/FirstFit reference stream once, one record per
-/// reference (CollectingSink expands the driver's spans); both engines
-/// replay exactly these records.
-std::vector<MemAccess> captureStream(const BenchOptions &Options) {
-  MemoryBus Bus;
-  CollectingSink Recorder;
-  Bus.attach(&Recorder);
-
-  SimHeap Heap(Bus);
-  CostModel Cost;
-  std::unique_ptr<Allocator> Alloc =
-      createAllocator(AllocatorKind::FirstFit, Heap, Cost);
-  const AppProfile &Profile = getProfile(WorkloadId::GsSmall);
-  EngineOptions EngineOpts;
-  EngineOpts.Scale = Options.Scale;
-  EngineOpts.Seed = Options.Seed;
-  WorkloadEngine Engine(Profile, EngineOpts);
-  Driver Drive(*Alloc, Bus, Cost, Profile.instrPerRef());
-  Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
-  Bus.flush();
-  return Recorder.records();
-}
 
 /// Delivers the stream to \p Sink in AccessBatch-sized chunks and returns
 /// the wall seconds of the sink work alone.
@@ -213,7 +187,14 @@ int main(int Argc, char **Argv) {
               "FirstFit)",
               *Options);
 
-  const std::vector<MemAccess> Stream = captureStream(*Options);
+  // Both engines replay one record per reference: CollectingSink expands
+  // the driver's spans.
+  CollectingSink Words;
+  {
+    const std::vector<MemAccess> Spans = captureGsSmallStream(*Options);
+    Words.accessBatch(Spans.data(), Spans.size());
+  }
+  const std::vector<MemAccess> &Stream = Words.records();
   const EngineConfig Configs[] = {
       {"paperdm", paperCacheSweep()},
       {"assoc512", assocCacheSweep()},

@@ -40,7 +40,6 @@
 #include "support/Error.h"
 #include "trace/RefTrace.h"
 #include "vm/PageSim.h"
-#include "workload/Driver.h"
 
 #include <chrono>
 #include <fstream>
@@ -51,26 +50,6 @@
 using namespace allocsim;
 
 namespace {
-
-/// Captures the gs-small/FirstFit record stream once.
-std::vector<MemAccess> captureStream(const BenchOptions &Options) {
-  MemoryBus Bus;
-  RecordTap Tap;
-  Bus.attach(&Tap);
-  SimHeap Heap(Bus);
-  CostModel Cost;
-  std::unique_ptr<Allocator> Alloc =
-      createAllocator(AllocatorKind::FirstFit, Heap, Cost);
-  const AppProfile &Profile = getProfile(WorkloadId::GsSmall);
-  EngineOptions EngineOpts;
-  EngineOpts.Scale = Options.Scale;
-  EngineOpts.Seed = Options.Seed;
-  WorkloadEngine Engine(Profile, EngineOpts);
-  Driver Drive(*Alloc, Bus, Cost, Profile.instrPerRef());
-  Engine.generate([&](const AllocEvent &Event) { Drive.execute(Event); });
-  Bus.flush();
-  return Tap.takeRecords();
-}
 
 /// One production sink set under test.
 struct SinkSet {
@@ -212,7 +191,7 @@ int main(int Argc, char **Argv) {
               "word-by-word expansion (gs-small, FirstFit)",
               *Options);
 
-  const std::vector<MemAccess> Spans = captureStream(*Options);
+  const std::vector<MemAccess> Spans = captureGsSmallStream(*Options);
   CollectingSink Words;
   Words.accessBatch(Spans.data(), Spans.size());
   const std::vector<MemAccess> &Expanded = Words.records();

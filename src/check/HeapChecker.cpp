@@ -52,7 +52,7 @@ void reportTo(CheckContext &Ctx, const char *AllocName, ViolationKind Kind,
 /// user data — a free-structure node must never sit inside a live object.
 void checkNotLive(CheckContext &Ctx, const char *AllocName, Addr Address,
                   uint32_t Size, const char *What) {
-  if (Ctx.Shadow && Ctx.Shadow->rangeHas(Address, Size, ByteState::UserLive))
+  if (Addr Live; Ctx.Shadow && Ctx.Shadow->findLiveByte(Address, Size, Live))
     reportTo(Ctx, AllocName, ViolationKind::MetadataUserOverlap, Address,
              std::string(What) + " overlaps live user data");
 }

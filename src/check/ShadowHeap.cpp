@@ -80,14 +80,6 @@ ByteState ShadowHeap::byteState(Addr Address) const {
   return Offset < States.size() ? States[Offset] : ByteState::Unallocated;
 }
 
-bool ShadowHeap::rangeHas(Addr Address, uint32_t Size,
-                          ByteState State) const {
-  for (uint32_t I = 0; I != Size; ++I)
-    if (byteState(Address + I) == State)
-      return true;
-  return false;
-}
-
 void ShadowHeap::setRange(Addr Address, uint32_t Size, ByteState State) {
   // The bytes of [Address, Address + Size) that lie inside the mirror.
   const uint64_t Base = Heap.base();
@@ -136,50 +128,35 @@ void ShadowHeap::accessBatch(const MemAccess *Batch, size_t Count) {
   const Addr Base = Heap.base();
   for (size_t Record = 0; Record != Count; ++Record) {
     const MemAccess &Access = Batch[Record];
-    if (!Access.isSpan()) {
-      // Other segments (stack/static) are outside the allocators' domain.
-      if (Access.Address < Base)
-        continue;
-      // Inside the break, allocator and tag reads are unconstrained and
-      // the application may touch live bytes: nothing to report or record.
-      const uint64_t Offset = uint64_t(Access.Address) - Base;
-      if (Offset + Access.Size <= MirrorBytes &&
-          (Access.Source == AccessSource::Application
-               ? allUserLive(States.data() + Offset, Access.Size)
-               : Access.Kind == AccessKind::Read))
-        continue;
-      checkReference(Access, MirrorBytes);
+    // The record's bytes: a single reference's Size, a span's words from
+    // its lowest.
+    const Addr Low = Access.Direction == SpanDirection::Ascending
+                         ? Access.Address
+                         : Access.lastWordAddress();
+    const uint32_t Bytes =
+        Access.isSpan() ? 4 * uint32_t(Access.Words) : Access.Size;
+    // Other segments (stack/static) are outside the allocators' domain.
+    if (uint64_t(Low) + Bytes <= Base)
       continue;
+    // Inside the break, the application may touch live bytes, allocator
+    // and tag reads are unconstrained, and their stores over bytes with no
+    // live byte create metadata.
+    if (Low >= Base && uint64_t(Low - Base) + Bytes <= MirrorBytes) {
+      if (Access.Source == AccessSource::Application) {
+        if (allUserLive(States.data() + (Low - Base), Bytes))
+          continue;
+      } else if (Access.Kind == AccessKind::Read) {
+        continue;
+      } else if (Addr Live; !findLiveByte(Low, Bytes, Live)) {
+        setRange(Low, Bytes, ByteState::Metadata);
+        continue;
+      }
     }
-    if (checkSpanFast(Access, MirrorBytes))
-      continue;
-    // Some byte is not in the state the fast check needs: take the words
-    // one by one, so the violations come out exactly as per-word records
-    // would produce them.
+    // Anything else may be a violation: check it one reference at a time,
+    // so the violations are exactly those of the per-word records.
     for (uint32_t W = 0; W != Access.Words; ++W)
-      checkReference(Access.word(W), MirrorBytes);
+      checkReference(Access.isSpan() ? Access.word(W) : Access, MirrorBytes);
   }
-}
-
-bool ShadowHeap::checkSpanFast(const MemAccess &Span,
-                               uint64_t MirrorBytes) const {
-  const Addr Low = Span.Direction == SpanDirection::Ascending
-                       ? Span.Address
-                       : Span.lastWordAddress();
-  const uint64_t Bytes = 4 * uint64_t(Span.Words);
-  // Other segments (stack/static) are outside the allocators' domain.
-  if (uint64_t(Low) + Bytes <= Heap.base())
-    return true;
-  if (Low < Heap.base())
-    return false;
-  const uint64_t Offset = uint64_t(Low) - Heap.base();
-  if (Offset + Bytes > MirrorBytes)
-    return false;
-  // Only the driver emits spans, all of them the application's; any other
-  // source takes the per-word path.
-  if (Span.Source != AccessSource::Application)
-    return false;
-  return allUserLive(States.data() + Offset, Bytes);
 }
 
 void ShadowHeap::checkReference(const MemAccess &Access,
@@ -224,16 +201,10 @@ void ShadowHeap::checkReference(const MemAccess &Access,
   // legitimately read fresh sbrk storage and their own bookkeeping.
   if (Access.Kind != AccessKind::Write)
     return;
-  for (uint32_t I = 0; I != Access.Size; ++I) {
-    if (States[Offset + I] == ByteState::UserLive) {
-      reportViolation(ViolationKind::MetadataUserOverlap, BusAllocName,
-                      Access.Address + I, Access.Source,
-                      "allocator store into live user data");
-      break;
-    }
-  }
-  for (uint32_t I = 0; I != Access.Size; ++I)
-    States[Offset + I] = ByteState::Metadata;
+  if (Addr Live; findLiveByte(Access.Address, Access.Size, Live))
+    reportViolation(ViolationKind::MetadataUserOverlap, BusAllocName, Live,
+                    Access.Source, "allocator store into live user data");
+  setRange(Access.Address, Access.Size, ByteState::Metadata);
 }
 
 void ShadowHeap::noteUserRange(const Allocator &Alloc, Addr Address,

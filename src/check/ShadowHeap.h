@@ -56,17 +56,16 @@ class ShadowHeap final : public AccessSink, public HeapStateObserver {
 public:
   ShadowHeap(const SimHeap &Heap, ViolationLog &Log);
 
-  /// AccessSink: validates each bus reference in order, folding it into
-  /// the mirror (allocator writes become Metadata). The mirror is synced to
-  /// the break once per batch, and the batch loop itself accepts the
-  /// references that cannot be violations: anything below the heap, an
-  /// allocator or tag read inside the break, and an application reference
-  /// inside the break whose bytes are all UserLive. Every other single
-  /// reference — stores, non-live bytes, anything reaching past the break —
-  /// goes through checkReference. A span's byte range is checked in one
-  /// pass, 8 shadow bytes at a time; only a span that reaches a byte the
-  /// pass cannot accept is re-checked word by word, so the violations are
-  /// exactly those of the span's single references.
+  /// AccessSink: validates each bus record in order, folding it into the
+  /// mirror (allocator writes become Metadata). The mirror is synced to the
+  /// break once per batch. The loop takes each record's byte range once (a
+  /// span's words from its lowest) and skips ranges below the heap. Inside
+  /// the break it accepts every record that cannot be a violation: an
+  /// application range of UserLive bytes only, an allocator or tag read,
+  /// and an allocator or tag store over bytes with no UserLive byte (one
+  /// Metadata fill). Every other record goes through checkReference one
+  /// reference (one span word) at a time, so the violations are exactly
+  /// those of the per-word records.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
   bool takesSpans() const override { return true; }
 
@@ -84,8 +83,9 @@ public:
   /// Current state of one byte (Unallocated for bytes beyond the break).
   ByteState byteState(Addr Address) const;
 
-  /// True if any byte of [Address, Address+Size) has state \p State.
-  bool rangeHas(Addr Address, uint32_t Size, ByteState State) const;
+  /// Finds the first byte of [Address, Address + Size) the mirror holds
+  /// UserLive; false if there is none.
+  bool findLiveByte(Addr Address, uint32_t Size, Addr &Found) const;
 
   /// Sets the malloc/free operation index stamped onto diagnostics.
   void setOpIndex(uint64_t Index) { OpIndex = Index; }
@@ -113,18 +113,10 @@ private:
   /// Validates one single reference and folds it into the mirror, whose
   /// extent (synced to the break) is \p MirrorBytes.
   void checkReference(const MemAccess &Access, uint64_t MirrorBytes);
-  /// Validates a whole span in one pass when that is exact: returns true
-  /// (the span handled) if it lies outside the heap, or is an application
-  /// span inside the break over live bytes only; false, with the mirror
-  /// untouched, if the span needs the per-word check.
-  bool checkSpanFast(const MemAccess &Span, uint64_t MirrorBytes) const;
   void reportViolation(ViolationKind Kind, std::string AllocName,
                        Addr Address, AccessSource Source,
                        std::string Detail);
   void setRange(Addr Address, uint32_t Size, ByteState State);
-  /// Finds the first byte of [Address, Address + Size) the mirror holds
-  /// UserLive; false if there is none.
-  bool findLiveByte(Addr Address, uint32_t Size, Addr &Found) const;
   /// Grows the mirror to the current break; returns the mirror span.
   uint32_t syncToBreak();
 

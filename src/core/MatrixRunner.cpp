@@ -2,6 +2,7 @@
 
 #include "core/MatrixRunner.h"
 
+#include "support/Diag.h"
 #include "support/Rng.h"
 #include "support/SpecParse.h"
 
@@ -117,38 +118,6 @@ void ResultStore::put(size_t Index, CellOutcome Outcome) {
 
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control bytes).
-std::string jsonEscape(const std::string &Text) {
-  std::string Out;
-  Out.reserve(Text.size() + 2);
-  for (char C : Text) {
-    switch (C) {
-    case '"':
-      Out += "\\\"";
-      break;
-    case '\\':
-      Out += "\\\\";
-      break;
-    case '\n':
-      Out += "\\n";
-      break;
-    case '\t':
-      Out += "\\t";
-      break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buffer[8];
-        std::snprintf(Buffer, sizeof(Buffer), "\\u%04x",
-                      static_cast<unsigned>(static_cast<unsigned char>(C)));
-        Out += Buffer;
-      } else {
-        Out += C;
-      }
-    }
-  }
-  return Out;
-}
-
 std::string jsonDouble(double Value) {
   char Buffer[40];
   std::snprintf(Buffer, sizeof(Buffer), "%.17g", Value);
@@ -210,7 +179,7 @@ void writeMatrixJson(std::ostream &OS, const MatrixSpec &Spec,
         Dropped += Cell.Result.DroppedEvents;
       }
     OS << "  \"faults\": {\n";
-    OS << "    \"plan\": \"" << jsonEscape(Plan.Spec) << "\",\n";
+    OS << "    \"plan\": \"" << jsonEscaped(Plan.Spec) << "\",\n";
     OS << "    \"seed\": " << Plan.Seed
        << ", \"retry_limit\": " << Plan.RetryLimit << ",\n";
     OS << "    \"injected\": " << Injected << ", \"detected\": " << Detected
@@ -227,7 +196,7 @@ void writeMatrixJson(std::ostream &OS, const MatrixSpec &Spec,
          << "\", \"penalty_cycles\": " << Cell.PenaltyCycles
          << ", \"attempts\": " << Cell.Attempts << ", \"errors\": [";
       for (size_t E = 0; E != Cell.AttemptErrors.size(); ++E)
-        OS << (E ? ", " : "") << '"' << jsonEscape(Cell.AttemptErrors[E])
+        OS << (E ? ", " : "") << '"' << jsonEscaped(Cell.AttemptErrors[E])
            << '"';
       OS << "]}";
       First = false;
@@ -245,7 +214,7 @@ void writeMatrixJson(std::ostream &OS, const MatrixSpec &Spec,
     OS << "\"seed\": " << Cell.Seed << ", ";
     OS << "\"ok\": " << (Cell.Ok ? "true" : "false");
     if (!Cell.Ok) {
-      OS << ", \"error\": \"" << jsonEscape(Cell.Error) << "\"}";
+      OS << ", \"error\": \"" << jsonEscaped(Cell.Error) << "\"}";
       continue;
     }
     const RunResult &R = Cell.Result;

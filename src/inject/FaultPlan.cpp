@@ -4,6 +4,7 @@
 
 #include "support/SpecParse.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 
@@ -25,23 +26,31 @@ SourceLoc locAt(size_t Offset) {
   return SourceLoc{1, static_cast<uint32_t>(Offset + 1)};
 }
 
-/// Parses a full-width unsigned decimal; false on anything else.
+/// Parses a full-width unsigned decimal made of ASCII digits only (no sign,
+/// no whitespace, so a negative value cannot wrap); false on anything else,
+/// overflow included.
 bool parseUnsigned64(const std::string &Text, uint64_t &Value) {
-  if (Text.empty() || Text[0] == '-' || Text[0] == '+')
+  if (Text.empty())
     return false;
-  errno = 0;
-  char *End = nullptr;
-  unsigned long long Parsed = std::strtoull(Text.c_str(), &End, 10);
-  if (errno != 0 || End != Text.c_str() + Text.size())
-    return false;
+  uint64_t Parsed = 0;
+  for (char C : Text) {
+    if (C < '0' || C > '9')
+      return false;
+    const uint64_t Digit = uint64_t(C - '0');
+    if (Parsed > (UINT64_MAX - Digit) / 10)
+      return false;
+    Parsed = Parsed * 10 + Digit;
+  }
   Value = Parsed;
   return true;
 }
 
-/// Parses a probability: any strtod-accepted literal in [0, 1] (so both
-/// "0.25" and the scientific "1e-6" of the documented grammar work).
+/// Parses a probability: a strtod-accepted literal in [0, 1] (so both
+/// "0.25" and the scientific "1e-6" of the documented grammar work) that
+/// starts with a digit or '.', so a blank or sign cannot lead it.
 bool parseRate(const std::string &Text, double &Value) {
-  if (Text.empty())
+  if (Text.empty() || !(std::isdigit(static_cast<unsigned char>(Text[0])) ||
+                        Text[0] == '.'))
     return false;
   errno = 0;
   char *End = nullptr;

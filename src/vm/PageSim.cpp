@@ -157,89 +157,29 @@ void PageSim::changePage(uint64_t Page) {
     demote(Carry);
 }
 
-void PageSim::touchSpan(const MemAccess &Span) {
-  if (PageShift < 2) {
-    // Pages smaller than a word: each word straddles pages on its own.
-    for (uint32_t W = 0; W != Span.Words; ++W)
-      touchPages(Span.word(W));
-    return;
-  }
-  // One page-touch decision per page, in span order; the page's other
-  // words follow it directly, so they re-reference the MRU page.
+void PageSim::accessBatch(const MemAccess *Batch, size_t Count) {
   const uint32_t WordsPerPage = PageBytes / 4;
-  uint32_t Left = Span.Words;
-  uint32_t Touches = wordsInFirstFrame(Span, PageShift);
-  forEachSpanFrame(Span, PageShift, [&](uint64_t Page) {
-    References += Touches;
-    if (RunLenHist)
-      noteRunPage(Page, Touches);
-    if (HeadSize != 0 && Page == Head[0]) {
-      ZeroDistanceHits += Touches;
-    } else {
-      changePage(Page);
-      ZeroDistanceHits += Touches - 1;
-    }
-    Left -= Touches;
-    Touches = std::min(Left, WordsPerPage);
-  });
-}
-
-void PageSim::touchPages(const MemAccess &Acc) {
-  if (Acc.isSpan()) {
-    touchSpan(Acc);
-    return;
-  }
-  // A multi-byte access that straddles a page boundary touches both pages;
-  // with 4 KB pages and word accesses this is effectively never taken, but
-  // correctness is cheap.
-  const FrameRange Pages = frameRange(Acc, PageShift);
-  for (uint64_t Page = Pages.First; Page <= Pages.Last; ++Page) {
-    ++References;
-    if (RunLenHist)
-      noteRunPage(Page, 1);
-    // A re-reference to the most recent page has stack distance zero and
-    // leaves the LRU order unchanged. This covers the bulk of a program's
-    // references (object sweeps, stack traffic).
-    if (HeadSize != 0 && Page == Head[0]) {
-      ++ZeroDistanceHits;
+  for (const MemAccess *Acc = Batch, *End = Batch + Count; Acc != End; ++Acc) {
+    if (Acc->isSpan() && PageShift >= 2) {
+      // Each page the span covers once, in span order, with its words.
+      uint32_t Left = Acc->Words;
+      uint32_t Touches = wordsInFirstFrame(*Acc, PageShift);
+      forEachSpanFrame(*Acc, PageShift, [&](uint64_t Page) {
+        touch(Page, Touches);
+        Left -= Touches;
+        Touches = std::min(Left, WordsPerPage);
+      });
       continue;
     }
-    changePage(Page);
-  }
-}
-
-void PageSim::accessBatch(const MemAccess *Batch, size_t Count) {
-  size_t I = 0;
-  while (I != Count) {
-    if (HeadSize != 0) {
-      // Run-length skip: count the references of records wholly inside
-      // the MRU page. Checking First and Last against the same page also
-      // routes straddling accesses and spans to touchPages, where they
-      // split per page as always. (Under 4-byte pages a span's first and
-      // last words never share a page, so spans always take touchPages.)
-      const uint64_t Recent = Head[0];
-      const uint32_t Shift = PageShift;
-      uint64_t Run = 0;
-      while (I != Count) {
-        const MemAccess &Acc = Batch[I];
-        const FrameRange Pages = Acc.isSpan() ? spanFrames(Acc, Shift)
-                                              : frameRange(Acc, Shift);
-        if (Pages.First != Recent || Pages.Last != Recent)
-          break;
-        Run += Acc.Words;
-        ++I;
-      }
-      References += Run;
-      ZeroDistanceHits += Run;
-      // Same decision touchPages makes per reference: every reference in
-      // the skipped run is one page-touch of the MRU page.
-      if (RunLenHist && Run != 0)
-        noteRunPage(Recent, Run);
-      if (I == Count)
-        return;
+    // A single reference, or each word of a span over pages smaller than a
+    // word: every page the reference covers, once. A reference straddling
+    // a page boundary touches both pages.
+    for (uint32_t W = 0; W != Acc->Words; ++W) {
+      const FrameRange Pages =
+          frameRange(Acc->isSpan() ? Acc->word(W) : *Acc, PageShift);
+      for (uint64_t Page = Pages.First; Page <= Pages.Last; ++Page)
+        touch(Page, 1);
     }
-    touchPages(Batch[I]);
-    ++I;
   }
 }
 

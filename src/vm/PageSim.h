@@ -45,12 +45,10 @@ public:
   /// \p PageBytes must be a power of two; the paper uses 4 KB pages.
   explicit PageSim(uint32_t PageBytes = 4096);
 
-  /// A run of consecutive records falling wholly inside the most recently
-  /// used page is a run of zero-stack-distance hits, so the whole run
-  /// collapses to two counter additions — no table lookup, no head or tree
-  /// work. Records that leave the page (or straddle one) take touchPages
-  /// one at a time; a span there costs one page-touch per page it covers,
-  /// its other words counting as zero-distance hits.
+  /// One loop over the records. A span over pages of 4 bytes or more
+  /// touches each page it covers once, with that page's word count; a
+  /// single reference (and each word of a span over smaller pages) touches
+  /// each page it covers once.
   void accessBatch(const MemAccess *Batch, size_t Count) override;
   bool takesSpans() const override { return true; }
 
@@ -107,12 +105,19 @@ private:
   };
   static constexpr uint32_t InHead = ~0u;
 
-  /// Touches every page \p Access covers, updating the stack distances and
-  /// the LRU order.
-  void touchPages(const MemAccess &Access);
-
-  /// touchPages for a span: each page it covers once, in span order.
-  void touchSpan(const MemAccess &Span);
+  /// \p Touches consecutive references to \p Page: a page change for the
+  /// first unless \p Page is the most recent page, then zero-distance hits.
+  void touch(uint64_t Page, uint32_t Touches) {
+    References += Touches;
+    if (RunLenHist)
+      noteRunPage(Page, Touches);
+    if (HeadSize != 0 && Page == Head[0]) {
+      ZeroDistanceHits += Touches;
+    } else {
+      changePage(Page);
+      ZeroDistanceHits += Touches - 1;
+    }
+  }
 
   /// The page-change path for a page other than the most recent one.
   void changePage(uint64_t Page);

@@ -405,6 +405,23 @@ TEST(CliMatrixTest, MalformedSpecsExitNonzeroWithDiagnostic) {
     EXPECT_NE(Output.find(Invocation.ExpectInMessage), std::string::npos)
         << Invocation.Args << "\n" << Output;
   }
+  // --inject prints its plan's diagnostics with their column; plan numbers
+  // are digits only, so -1 cannot wrap to "unlimited" and switch OOM off.
+  const BadInvocation BadInject[] = {
+      {"--inject \"oom:after= -1\"", "[inject-bad-value]"},
+      {"--inject \"seed= -1\"", "[inject-bad-value]"},
+      {"--inject \"retry:limit= 3\"", "[inject-bad-value]"},
+      {"--inject \"flip:rate=+0.5\"", "[inject-bad-value]"},
+  };
+  for (const BadInvocation &Invocation : BadInject) {
+    std::string Output;
+    int Exit = runCliCapture(Invocation.Args, Output);
+    EXPECT_EQ(Exit, 2) << Invocation.Args << "\n" << Output;
+    EXPECT_NE(Output.find("--inject:1:1: error:"), std::string::npos)
+        << Invocation.Args << "\n" << Output;
+    EXPECT_NE(Output.find(Invocation.ExpectInMessage), std::string::npos)
+        << Invocation.Args << "\n" << Output;
+  }
 }
 
 TEST(CliMatrixTest, SingleAxisFlagsSayWhatTheirMatrixAxisSays) {

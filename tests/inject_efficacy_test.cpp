@@ -22,8 +22,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -124,6 +127,21 @@ TEST(FaultPlanTest, DiagnosesMalformedInput) {
       {"seed=", "spec-empty-value"},
       {"flip:rate", "spec-missing-equals"},
       {"flip:rate=0.1;flip:rate=0.2", "spec-duplicate-axis"},
+      // Numbers are digits only: strtoull used to skip the blank and wrap
+      // -1 to UINT64_MAX, which silently turned the OOM fault off.
+      {"oom:after= -1", "inject-bad-value"},
+      {"oom:after=-1", "inject-bad-value"},
+      {"oom:after=+4096", "inject-bad-value"},
+      {"oom:after=18446744073709551616", "inject-bad-value"},
+      {"seed= -1", "inject-bad-value"},
+      {"seed= 7", "inject-bad-value"},
+      {"retry:limit= 3", "inject-bad-value"},
+      {"retry:limit=+3", "inject-bad-value"},
+      // Rates take no leading blank or sign either (-0 is in range).
+      {"flip:rate= 0.5", "inject-bad-value"},
+      {"flip:rate=+0.5", "inject-bad-value"},
+      {"smash:rate=-0", "inject-bad-value"},
+      {"cell:rate=\t0.5", "inject-bad-value"},
   };
   for (const BadCase &Case : Cases) {
     SCOPED_TRACE(Case.Text);
@@ -136,6 +154,154 @@ TEST(FaultPlanTest, DiagnosesMalformedInput) {
       Found = Found || D.Rule == Case.RuleId;
     EXPECT_TRUE(Found) << "expected rule " << Case.RuleId;
   }
+}
+
+namespace {
+
+/// What \p Text must parse to if it is accepted, read by a separate oracle:
+/// every integer is its digits read exactly, every rate its strtod value in
+/// [0, 1] with no leading blank or sign. False if the oracle rejects some
+/// axis, or repeats a key (the parser must reject those too).
+bool expectedPlan(const std::string &Text, FaultPlan &Expected) {
+  Expected = FaultPlan();
+  Expected.Spec = Text;
+  Expected.Active = true;
+  std::vector<std::string> Keys;
+  std::string::size_type Start = 0;
+  for (;;) {
+    const std::string::size_type Semi = Text.find(';', Start);
+    const std::string Axis = Text.substr(Start, Semi - Start);
+    const std::string::size_type Eq = Axis.find('=');
+    if (Eq == std::string::npos)
+      return false;
+    const std::string Key = Axis.substr(0, Eq);
+    const std::string Value = Axis.substr(Eq + 1);
+    if (std::find(Keys.begin(), Keys.end(), Key) != Keys.end())
+      return false;
+    Keys.push_back(Key);
+    if (Key == "oom:after" || Key == "retry:limit" || Key == "seed") {
+      if (Value.empty() || Value.find_first_not_of("0123456789") !=
+                               std::string::npos)
+        return false;
+      const std::string Digits =
+          Value.substr(std::min(Value.find_first_not_of('0'),
+                                Value.size() - 1));
+      if (Digits.size() > 20 ||
+          (Digits.size() == 20 && Digits > "18446744073709551615"))
+        return false;
+      const uint64_t Number = std::stoull(Digits);
+      if (Key == "oom:after") {
+        Expected.OomAfterBytes = Number;
+      } else if (Key == "seed") {
+        Expected.Seed = Number;
+        Expected.SeedSet = true;
+      } else if (Number <= 64) {
+        Expected.RetryLimit = static_cast<uint32_t>(Number);
+      } else {
+        return false;
+      }
+    } else if (Key == "flip:rate" || Key == "smash:rate" ||
+               Key == "cell:rate") {
+      if (Value.empty() || Value.find_first_of(" \t\n\v\f\r+-") == 0)
+        return false;
+      errno = 0;
+      char *End = nullptr;
+      const double Rate = std::strtod(Value.c_str(), &End);
+      if (errno != 0 || End != Value.c_str() + Value.size() ||
+          !(Rate >= 0.0 && Rate <= 1.0))
+        return false;
+      (Key == "flip:rate"    ? Expected.FlipRate
+       : Key == "smash:rate" ? Expected.SmashRate
+                             : Expected.CellRate) = Rate;
+    } else {
+      return false;
+    }
+    if (Semi == std::string::npos)
+      return true;
+    Start = Semi + 1;
+  }
+}
+
+} // namespace
+
+TEST(FaultPlanFuzzTest, MutatedPlansDiagnoseOrParseExactly) {
+  // Every --inject plan in the tests, README and CI, plus inputs that
+  // once parsed wrong.
+  const std::vector<std::string> Seeds = {
+      "oom:after=32768;flip:rate=1e-4;smash:rate=1e-4",
+      "oom:after=10000;flip:rate=1e-6;smash:rate=0.25;cell:rate=0.5;"
+      "retry:limit=3;seed=77",
+      "flip:rate=0.01;smash:rate=0.01;seed=424242",
+      "flip:rate=1e-4;cell:rate=0.5;seed=11",
+      "cell:rate=1.0;retry:limit=2;seed=7",
+      "cell:rate=0.5;retry:limit=1;seed=99",
+      "oom:after=16384",
+      "oom:after=4096",
+      "seed=18446744073709551615",
+      "oom:after= -1",
+      "seed= -1",
+      "retry:limit= 3",
+  };
+  const std::vector<std::string> Tokens = {
+      "-", "+", " ", "\t", "-1", "0", "00", "64", "65", "1e-4", "1e400",
+      ".", "e", "nan", "inf", "0x10", "18446744073709551615",
+      "18446744073709551616", ";", "=", ":", "seed=", "oom:after=",
+      "retry:limit=", "flip:rate=", "cell:rate="};
+  const std::string Alphabet = "0123456789 \t+-.e;=:xabfilmnoprst";
+
+  std::mt19937_64 Rng(0xFA017u);
+  auto Below = [&](size_t N) {
+    return N == 0 ? size_t(0) : static_cast<size_t>(Rng() % N);
+  };
+  auto mutate = [&](std::string Text) {
+    for (size_t Step = 0, Steps = 1 + Below(3); Step != Steps; ++Step) {
+      const size_t Pos = Below(Text.size() + 1);
+      switch (Below(5)) {
+      case 0:
+        Text.insert(Pos, 1, Alphabet[Below(Alphabet.size())]);
+        break;
+      case 1:
+        if (Pos < Text.size())
+          Text.erase(Pos, 1);
+        break;
+      case 2:
+        if (Pos < Text.size())
+          Text[Pos] = Alphabet[Below(Alphabet.size())];
+        break;
+      case 3:
+        Text.insert(Pos, Tokens[Below(Tokens.size())]);
+        break;
+      default: {
+        const std::string &Other = Seeds[Below(Seeds.size())];
+        Text = Text.substr(0, Pos) + Other.substr(Below(Other.size() + 1));
+        break;
+      }
+      }
+    }
+    return Text;
+  };
+
+  uint64_t Accepted = 0, Rejected = 0;
+  for (uint32_t Round = 0; Round != 20000; ++Round) {
+    const std::string &Seed = Seeds[Round % Seeds.size()];
+    const std::string Text = Round < Seeds.size() ? Seed : mutate(Seed);
+    SCOPED_TRACE("plan '" + Text + "'");
+    DiagEngine Diags;
+    const FaultPlan Plan = parseFaultPlan(Text, Diags);
+    ASSERT_EQ(Plan.Active, !Text.empty() && Diags.errorCount() == 0);
+    FaultPlan Expected;
+    const bool OracleAccepts = !Text.empty() && expectedPlan(Text, Expected);
+    ASSERT_EQ(Plan.Active, OracleAccepts);
+    if (!Plan.Active) {
+      ++Rejected;
+      continue;
+    }
+    ++Accepted;
+    ASSERT_EQ(Plan, Expected);
+  }
+  // Both outcomes are exercised, so the oracle is not vacuous.
+  EXPECT_GT(Accepted, 500u);
+  EXPECT_GT(Rejected, 1000u);
 }
 
 //===----------------------------------------------------------------------===//
