@@ -5,6 +5,7 @@
 #include <cctype>
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 
 using namespace allocsim;
 
@@ -14,6 +15,46 @@ const JsonValue *JsonValue::get(const std::string &Key) const {
   auto It = Object.find(Key);
   return It == Object.end() ? nullptr : &It->second;
 }
+
+namespace {
+
+/// True if \p Token is a number by RFC 8259's grammar:
+///   [ "-" ] ( "0" / [1-9] *DIGIT ) [ "." 1*DIGIT ]
+///   [ ( "e" / "E" ) [ "-" / "+" ] 1*DIGIT ]
+/// so no leading "+", no leading zero, and a digit on each side of ".".
+bool isJsonNumber(const std::string &Token) {
+  size_t I = 0;
+  auto digits = [&] {
+    const size_t Start = I;
+    while (I < Token.size() &&
+           std::isdigit(static_cast<unsigned char>(Token[I])))
+      ++I;
+    return I != Start;
+  };
+  auto skip = [&](const char *Chars) {
+    if (I < Token.size() && std::strchr(Chars, Token[I]))
+      ++I;
+  };
+  skip("-");
+  if (I < Token.size() && Token[I] == '0')
+    ++I;
+  else if (!digits())
+    return false;
+  if (I < Token.size() && Token[I] == '.') {
+    ++I;
+    if (!digits())
+      return false;
+  }
+  if (I < Token.size() && (Token[I] == 'e' || Token[I] == 'E')) {
+    ++I;
+    skip("+-");
+    if (!digits())
+      return false;
+  }
+  return I == Token.size();
+}
+
+} // namespace
 
 namespace allocsim {
 
@@ -146,8 +187,9 @@ private:
             Text[Pos] == '+' || Text[Pos] == '-'))
       ++Pos;
     std::string Token = Text.substr(Start, Pos - Start);
-    if (Token.empty() || Token == "-")
-      return fail("bad number");
+    if (!isJsonNumber(Token))
+      return fail(Token.empty() ? "unexpected character"
+                                : "bad number '" + Token + "'");
     errno = 0;
     char *End = nullptr;
     double Value = std::strtod(Token.c_str(), &End);

@@ -13,9 +13,10 @@
 ///
 /// Scope: the JSON subset our emitters produce — objects, arrays, strings
 /// with the escapes jsonEscaped() writes, integers, doubles, booleans and
-/// null. Numbers are parsed with strtod and additionally kept as int64/uint64
-/// when the text is an exact integer, because most committed values are
-/// integer counters that must round-trip exactly.
+/// null. Numbers must follow RFC 8259's grammar (no leading "+" or zero, a
+/// digit on each side of "."); they are parsed with strtod and additionally
+/// kept as int64/uint64 when the text is an exact integer, because most
+/// committed values are integer counters that must round-trip exactly.
 ///
 /// Errors are reported by position ("offset N: message") through the bool
 /// return + error string convention used by the spec parsers, not by

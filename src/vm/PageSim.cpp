@@ -25,6 +25,9 @@ PageSim::PageSim(uint32_t SimPageBytes)
   Table.assign(size_t(1) << (64 - TableShift), PageEntry{0, 0});
   Tree.assign(InitialTreeSize, 0);
   DistanceCounts.assign(2 * HeadPages, 0);
+  // Empty slots take the highest ranks, slot 0 the highest of all.
+  for (uint32_t Slot = 0; Slot != HeadPages; ++Slot)
+    Rank[Slot] = static_cast<uint8_t>(HeadPages - 1 - Slot);
 }
 
 PageSim::PageEntry &PageSim::lookup(uint64_t Page) {
@@ -63,7 +66,7 @@ void PageSim::compact() {
   std::vector<uint32_t> EntryBySlot(NextSlot, 0); // table index + 1
   for (size_t I = 0; I != Table.size(); ++I) {
     const uint32_t Slot = Table[I].Slot;
-    if (Slot != 0 && Slot != InHead)
+    if (Slot != 0 && Slot < HeadSlotBase)
       EntryBySlot[Slot] = static_cast<uint32_t>(I + 1);
   }
   uint32_t Slot = 0;
@@ -77,6 +80,7 @@ void PageSim::compact() {
   // cannot free enough slots; grow the tree.
   if (2 * (size_t(Slot) + 16) > Tree.size())
     Tree.resize(2 * (size_t(Slot) + 16));
+  assert(Tree.size() <= HeadSlotBase && "tail slots reach the head's");
   // Slots 1..Slot are active, and node I covers slots (I - lowbit(I), I].
   for (uint32_t I = 1; I != Tree.size(); ++I) {
     const uint32_t Low = I - (I & (~I + 1));
@@ -122,39 +126,42 @@ void PageSim::demote(uint64_t Page) {
 }
 
 void PageSim::changePage(uint64_t Page) {
-  assert((HeadSize == 0 || Page != Head[0]) && "not a page change");
-  // Search the head and shift it down one place in the same pass; Carry
-  // ends as the page that falls off the old head's end.
-  uint64_t Carry = Page;
-  for (uint32_t D = 0; D != HeadSize; ++D) {
-    const uint64_t Current = Head[D];
-    Head[D] = Carry;
-    if (Current == Page) {
-      countDistance(D);
-      return;
-    }
-    Carry = Current;
+  assert(Page != Mru && "not a page change");
+  Mru = Page;
+  PageEntry &Entry = lookup(Page);
+  if (Entry.Slot >= HeadSlotBase) {
+    const uint32_t Slot = Entry.Slot - HeadSlotBase;
+    const uint8_t Distance = Rank[Slot];
+    ++DistanceCounts[Distance];
+    promote(Slot, Distance);
+    return;
   }
 
-  PageEntry &Entry = lookup(Page);
+  // A miss: the page takes the slot of the head's least recent page.
+  constexpr uint8_t Last = HeadPages - 1;
+  uint8_t Slot = 0;
+  for (uint8_t J = 0; J != HeadPages; ++J)
+    Slot |= Rank[J] == Last ? J : 0;
   if (Entry.Slot == 0) {
     ++ColdFaults;
-    Entry = {Page, InHead};
+    Entry = {Page, HeadSlotBase + Slot};
     if (2 * ++TableUsed > Table.size())
       growTable();
   } else {
     // Not in the head, so in the tail. Distance = the head's pages plus
     // the tail pages demoted after this one = active slots beyond its own.
     const uint32_t OldSlot = Entry.Slot;
-    Entry.Slot = InHead;
+    Entry.Slot = HeadSlotBase + Slot;
     countDistance(HeadPages + ActiveSlots - fenwickPrefix(OldSlot));
     fenwickAdd(OldSlot, -1);
     --ActiveSlots;
   }
   if (HeadSize != HeadPages)
-    Head[HeadSize++] = Carry;
+    ++HeadSize;
   else
-    demote(Carry);
+    demote(HeadPage[Slot]);
+  HeadPage[Slot] = Page;
+  promote(Slot, Last);
 }
 
 void PageSim::accessBatch(const MemAccess *Batch, size_t Count) {

@@ -13,14 +13,19 @@
 /// curves (Figures 2 and 3).
 ///
 /// The LRU stack is kept in two parts. The HeadPages most recent pages sit
-/// in an exact move-to-front array: a page found at position d has stack
-/// distance d, and the hit only rotates the array. Most page changes end
-/// there. Pages below the head live in a Fenwick tree over demotion-time
-/// slots (O(log n) per reference): every tail page is older than every head
+/// in an unordered head: each has a head slot, recorded in its page-table
+/// entry, and Rank[slot] holds its exact stack distance. A page change
+/// finds the page through the page table; a head hit at distance d ages
+/// every rank below d by one in a fixed-length loop the compiler
+/// vectorizes, with no search and no shift. Most page changes end there.
+/// Pages below the head live in a Fenwick tree over demotion-time slots
+/// (O(log n) per reference): every tail page is older than every head
 /// page, so a tail page's distance is HeadPages plus the number of active
-/// slots after its own. Slots are compacted when they run out, and the
-/// tree grows with the working set, so memory stays proportional to the
-/// number of distinct pages, not the trace length.
+/// slots after its own. A miss demotes the head's least recent page (rank
+/// HeadPages-1) into the tail and gives its slot to the new page. Slots
+/// are compacted when they run out, and the tree grows with the working
+/// set, so memory stays proportional to the number of distinct pages, not
+/// the trace length.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +49,10 @@ class PageSim final : public AccessSink {
 public:
   /// \p PageBytes must be a power of two; the paper uses 4 KB pages.
   explicit PageSim(uint32_t PageBytes = 4096);
+
+  /// Size of the exact head of the LRU stack. Most page changes of the
+  /// paper's workloads land within it.
+  static constexpr uint32_t HeadPages = 32;
 
   /// One loop over the records. A span over pages of 4 bytes or more
   /// touches each page it covers once, with that page's word count; a
@@ -93,17 +102,16 @@ public:
   void flushRunTelemetry();
 
 private:
-  /// Size of the exact move-to-front head of the LRU stack. Most page
-  /// changes of the paper's workloads land within it.
-  static constexpr uint32_t HeadPages = 32;
-
-  /// One page-table entry. Slot is the page's tail slot (>= 1), InHead
-  /// while the page sits in the head, or 0 for an empty table entry.
+  /// One page-table entry. Slot is 0 for an empty table entry, the page's
+  /// tail slot (1..NextSlot-1) while it sits in the tail, or HeadSlotBase
+  /// plus its head slot while it sits in the head.
   struct PageEntry {
     uint64_t Page;
     uint32_t Slot;
   };
-  static constexpr uint32_t InHead = ~0u;
+  static constexpr uint32_t HeadSlotBase = 0u - HeadPages;
+  /// No page number reaches this (addresses are 32-bit).
+  static constexpr uint64_t NoPage = ~0ull;
 
   /// \p Touches consecutive references to \p Page: a page change for the
   /// first unless \p Page is the most recent page, then zero-distance hits.
@@ -111,7 +119,7 @@ private:
     References += Touches;
     if (RunLenHist)
       noteRunPage(Page, Touches);
-    if (HeadSize != 0 && Page == Head[0]) {
+    if (Page == Mru) {
       ZeroDistanceHits += Touches;
     } else {
       changePage(Page);
@@ -121,6 +129,14 @@ private:
 
   /// The page-change path for a page other than the most recent one.
   void changePage(uint64_t Page);
+
+  /// Makes head slot \p Slot, at stack distance \p Distance, the most
+  /// recent: every rank below \p Distance ages by one.
+  void promote(uint32_t Slot, uint8_t Distance) {
+    for (uint8_t &R : Rank)
+      R += R < Distance;
+    Rank[Slot] = 0;
+  }
 
   /// Moves \p Page, the head's least recent page, to the tail's newest
   /// slot.
@@ -143,10 +159,16 @@ private:
   uint32_t PageBytes;
   uint32_t PageShift;
 
-  /// Head[0] is the most recent page; HeadSize grows to HeadPages and stays
-  /// there. The tail is empty until the head is full.
-  std::array<uint64_t, HeadPages> Head{};
+  /// The head: HeadPage[j] is the page in head slot j and Rank[j] its
+  /// stack distance. The ranks are always a permutation of 0..HeadPages-1;
+  /// slots not filled yet hold the highest ranks, so a miss fills them
+  /// first. HeadSize grows to HeadPages and stays there, and the tail is
+  /// empty until the head is full.
+  std::array<uint64_t, HeadPages> HeadPage{};
+  std::array<uint8_t, HeadPages> Rank;
+  static_assert(HeadPages < 256, "ranks and head slots are bytes");
   uint32_t HeadSize = 0;
+  uint64_t Mru = NoPage;
 
   /// Open-addressing page -> slot table, linear probing, power-of-two size,
   /// at most half full.

@@ -3,12 +3,19 @@
 #include "support/CommandLine.h"
 #include "support/FlatMap.h"
 #include "support/Histogram.h"
+#include "support/Json.h"
 #include "support/Rng.h"
 #include "support/Table.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <random>
+#include <regex>
 #include <sstream>
 #include <unordered_map>
 
@@ -441,5 +448,184 @@ TEST(FlatMapTest, MatchesUnorderedMap) {
     for (unsigned I = 0; I != 15000; ++I)
       ASSERT_EQ(M.step(Wide, 15, R), "") << "draining op " << I;
     ASSERT_EQ(M.agreeOn(Wide), "") << "after round " << Round;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// The JSON reader's number grammar
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// RFC 8259's number grammar, written as a regular expression so it is
+/// independent of the reader's hand-written scanner.
+bool matchesJsonNumberGrammar(const std::string &Token) {
+  static const std::regex Grammar(
+      "-?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][+-]?[0-9]+)?");
+  return std::regex_match(Token, Grammar);
+}
+
+/// The number tokens of \p Text, a document the reader accepted: every
+/// maximal run of number characters outside strings that starts with "-"
+/// or a digit.
+std::vector<std::string> numberTokens(const std::string &Text) {
+  std::vector<std::string> Tokens;
+  auto isNumberChar = [](char C) {
+    return std::isdigit(static_cast<unsigned char>(C)) ||
+           std::strchr("+-.eE", C) != nullptr;
+  };
+  for (size_t I = 0; I < Text.size();) {
+    if (Text[I] == '"') {
+      for (++I; Text[I] != '"'; ++I)
+        I += Text[I] == '\\';
+      ++I;
+    } else if (Text[I] == '-' ||
+               std::isdigit(static_cast<unsigned char>(Text[I]))) {
+      const size_t Start = I;
+      while (I < Text.size() && isNumberChar(Text[I]))
+        ++I;
+      Tokens.push_back(Text.substr(Start, I - Start));
+    } else {
+      ++I;
+    }
+  }
+  return Tokens;
+}
+
+std::string readFile(const std::filesystem::path &Path) {
+  std::ifstream In(Path, std::ios::binary);
+  std::ostringstream Out;
+  Out << In.rdbuf();
+  return Out.str();
+}
+
+} // namespace
+
+TEST(JsonTest, RejectsNonJsonNumbers) {
+  struct Row {
+    const char *Text;
+    bool Valid;
+  };
+  const Row Rows[] = {
+      {"+5", false},   {".5", false},  {"01", false},  {"5.", false},
+      {"-01", false},  {"00", false},  {"-", false},   {"-.5", false},
+      {"1.e5", false}, {"1e", false},  {"1e+", false}, {"--1", false},
+      {"1.5.2", false}, {"0x10", false}, {"1e5e5", false},
+      {"0", true},     {"-0", true},   {"10", true},   {"0.5", true},
+      {"-0.0e0", true}, {"1e5", true}, {"1E+5", true}, {"2e-3", true},
+  };
+  for (const Row &R : Rows) {
+    ASSERT_EQ(matchesJsonNumberGrammar(R.Text), R.Valid) << R.Text;
+    for (const std::string &Text :
+         {std::string(R.Text), "[" + std::string(R.Text) + "]",
+          "{\"a\": " + std::string(R.Text) + "}"}) {
+      SCOPED_TRACE(Text);
+      JsonValue Value;
+      std::string Error;
+      EXPECT_EQ(JsonValue::parse(Text, Value, Error), R.Valid) << Error;
+      EXPECT_EQ(Error.empty(), R.Valid);
+    }
+  }
+}
+
+TEST(JsonFuzzTest, MutatedDocumentsDiagnoseOrParse) {
+  // The committed JSON the reader consumes or could: the conformance
+  // expectations, the golden matrix and the perf baselines.
+  const std::filesystem::path Root = ALLOCSIM_SOURCE_DIR;
+  std::vector<std::filesystem::path> Paths = {
+      Root / "tests" / "golden" / "paper_small.json"};
+  for (const auto &Entry : std::filesystem::directory_iterator(
+           Root / "tests" / "conformance" / "expectations"))
+    if (Entry.path().extension() == ".json")
+      Paths.push_back(Entry.path());
+  for (const auto &Entry : std::filesystem::directory_iterator(Root))
+    if (Entry.path().filename().string().rfind("BENCH_", 0) == 0 &&
+        Entry.path().extension() == ".json")
+      Paths.push_back(Entry.path());
+  std::sort(Paths.begin(), Paths.end());
+  std::vector<std::string> Documents;
+  for (const auto &Path : Paths) {
+    Documents.push_back(readFile(Path));
+    JsonValue Value;
+    std::string Error;
+    ASSERT_TRUE(JsonValue::parse(Documents.back(), Value, Error))
+        << Path << ": " << Error;
+  }
+  ASSERT_GE(Documents.size(), 6u);
+
+  const std::vector<std::string> Tokens = {
+      "+5", ".5", "01", "5.", "-", "-0", "0.0", "1e", "1e+", "1E-7", "1e400",
+      "1e-400", "18446744073709551616", "-9223372036854775809", "0x1F",
+      "[", "]", "{", "}", ",", ":", "\"", "\\", "\\u00e9", "null", "true",
+      "false", "nan", "inf", " ", "\n"};
+  const std::string Alphabet = "0123456789+-.eE[]{}:,\" \\tnulfrsa";
+  std::mt19937_64 Rng(0x150Du);
+  auto Below = [&](size_t N) {
+    return N == 0 ? size_t(0) : static_cast<size_t>(Rng() % N);
+  };
+  auto mutate = [&](std::string Text) {
+    for (size_t Step = 0, Steps = 1 + Below(3); Step != Steps; ++Step) {
+      const size_t Pos = Below(Text.size() + 1);
+      switch (Below(5)) {
+      case 0:
+        Text.insert(Pos, 1, Alphabet[Below(Alphabet.size())]);
+        break;
+      case 1:
+        Text.erase(Pos, 1 + Below(4));
+        break;
+      case 2:
+        if (Pos < Text.size())
+          Text[Pos] = Alphabet[Below(Alphabet.size())];
+        break;
+      case 3:
+        Text.insert(Pos, Tokens[Below(Tokens.size())]);
+        break;
+      default: {
+        const std::string &Other = Documents[Below(Documents.size())];
+        Text = Text.substr(0, Pos) + Other.substr(Below(Other.size() + 1));
+        break;
+      }
+      }
+    }
+    return Text;
+  };
+
+  uint64_t Accepted = 0, Rejected = 0, Numbers = 0;
+  for (uint32_t Round = 0; Round != 3000; ++Round) {
+    const std::string Text = mutate(Documents[Round % Documents.size()]);
+    JsonValue Value;
+    std::string Error;
+    const bool Ok = JsonValue::parse(Text, Value, Error);
+    ASSERT_EQ(Ok, Error.empty()) << "round " << Round << ": " << Error;
+    if (!Ok) {
+      ++Rejected;
+      continue;
+    }
+    ++Accepted;
+    for (const std::string &Token : numberTokens(Text)) {
+      ASSERT_TRUE(matchesJsonNumberGrammar(Token))
+          << "round " << Round << " accepted number '" << Token << "'";
+      ++Numbers;
+    }
+  }
+  // Both outcomes are exercised, so the checks are not vacuous.
+  EXPECT_GT(Accepted, 300u);
+  EXPECT_GT(Rejected, 1000u);
+  EXPECT_GT(Numbers, 10000u);
+
+  // Nesting far past the limit is diagnosed, not a stack overflow.
+  for (const std::string &Deep :
+       {std::string(100000, '['),
+        std::string(100000, '[') + std::string(100000, ']'),
+        [] {
+          std::string Objects;
+          for (int I = 0; I != 100000; ++I)
+            Objects += "{\"a\":";
+          return Objects;
+        }()}) {
+    JsonValue Value;
+    std::string Error;
+    EXPECT_FALSE(JsonValue::parse(Deep, Value, Error));
+    EXPECT_NE(Error.find("deep"), std::string::npos) << Error;
   }
 }

@@ -272,8 +272,10 @@ TEST(PageSimTest, MatchesMoveToFrontOracle) {
   // Page counts below, at and above the head size, up to a working set
   // whose table and slot tree grow several times. With 1-byte pages every
   // record of n bytes touches n pages, so fewer page numbers suffice.
+  constexpr uint32_t Head = PageSim::HeadPages;
   for (uint32_t PageBytes : {1u, 64u, 4096u})
-    for (uint32_t Pages : {1u, 2u, 31u, 32u, 33u, 100u, 1000u, 5000u}) {
+    for (uint32_t Pages : {1u, 2u, Head - 1, Head, Head + 1, 2 * Head, 100u,
+                           1000u, 5000u}) {
       if (PageBytes == 1 && Pages > 1000)
         continue;
       SCOPED_TRACE(testing::Message()
@@ -283,6 +285,64 @@ TEST(PageSimTest, MatchesMoveToFrontOracle) {
                          oracleStream(PageBytes, Pages, 8 * Pages + 2000, Seed),
                          Seed);
     }
+}
+
+TEST(PageSimTest, ColdPageGrowsTableWhileHeadEvicts) {
+  // One page change that does three things: its cold insert doubles the
+  // page table (so the rehash must carry the new page's head slot), the
+  // full head demotes its least recent page, and that demotion runs out
+  // of tail slots and compacts. The stream is derived from PageSim's
+  // starting sizes (a 64-entry table, at most half full, and a 64-slot
+  // tree) and its growth rules, tracked below as plain counters:
+  //   1. cold pages up to the last one before a table growth that leaves
+  //      some pages below the head;
+  //   2. a cyclic sweep over those pages, every change a tail hit and a
+  //      demotion, until the next demotion compacts;
+  //   3. the cold page that grows the table;
+  //   4. more cold pages, then every page again, so all distances show.
+  constexpr uint64_t Head = PageSim::HeadPages;
+  uint64_t TableSize = 64;
+  while (TableSize / 2 <= Head)
+    TableSize *= 2;
+  const uint64_t Resident = TableSize / 2; // the next page grows the table
+  uint64_t TreeSize = 64, NextSlot = 1, Active = 0;
+  auto demote = [&] {
+    if (NextSlot >= TreeSize) {
+      NextSlot = Active + 1;
+      TreeSize = std::max(TreeSize, 2 * (Active + 16));
+    }
+    ++NextSlot;
+    ++Active;
+  };
+
+  std::vector<MemAccess> Stream;
+  auto add = [&](uint64_t Page) {
+    Stream.push_back({static_cast<Addr>(Page * 4096), 4, AccessKind::Read,
+                      AccessSource::Application});
+  };
+  for (uint64_t Page = 0; Page != Resident; ++Page) {
+    add(Page);
+    if (Page >= Head)
+      demote();
+  }
+  for (uint64_t Page = 0; NextSlot < TreeSize; ++Page) {
+    add(Page % Resident);
+    --Active;
+    demote();
+  }
+  ASSERT_GT(Stream.size(), Resident) << "the sweep must make tail hits";
+  for (uint64_t Page = Resident; Page != 2 * TableSize; ++Page)
+    add(Page);
+  for (uint64_t Page = 0; Page != 2 * TableSize; ++Page)
+    add(Page);
+
+  MoveToFrontLru Oracle(4096);
+  PageSim Sim;
+  for (const MemAccess &Access : Stream) {
+    Oracle.access(Access);
+    Sim.access(Access);
+  }
+  expectMatchesOracle(Sim, Oracle);
 }
 
 TEST(PageSimTest, InclusionProperty) {
